@@ -6,6 +6,13 @@ alignment is an entropic Gromov-Wasserstein problem over absolute adjacency
 differences, solved by projected gradient (linearize, then Sinkhorn). The
 fused distance is ``lam * (wd + gwd)`` with independent plans.
 
+Each solver has one implementation, over a stack of K same-shape problems
+advanced in lockstep (one numpy call per update for the whole stack):
+``_sinkhorn`` and ``_entropic_gwd``. A single solve is a stack of one:
+``sinkhorn_wd``, ``entropic_gwd`` and ``gwd_cost`` validate their inputs and
+call the core with K = 1, and ``batch_alignment`` solves its windows as one
+stack while the stacked problem is small, and as stacks of one otherwise.
+
 Brute-force enumeration oracles (permutation couplings) live alongside the
 solvers so every solver result can be cross-checked on small instances, and
 ``alignment_equivalence_check`` verifies by full enumeration that minimizing
@@ -83,9 +90,11 @@ def _check_marginals(u, v, n, m):
     return u, v
 
 
-def _logsumexp(x, axis):
-    m = x.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+def _square(adjacency, name):
+    a = np.asarray(adjacency, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} adjacency must be square")
+    return a
 
 
 def uniform_weights(n):
@@ -93,136 +102,130 @@ def uniform_weights(n):
 
 
 def cost_matrix(source_points, target_points):
-    """Pairwise Euclidean distances between two embedding sets (n x d, m x d)."""
+    """Pairwise Euclidean distances between two embedding sets (n x d, m x d).
+
+    Stacks of sets (K x n x d, K x m x d) give a (K, n, m) stack of costs.
+    """
     xs = np.asarray(source_points, dtype=np.float64)
     xt = np.asarray(target_points, dtype=np.float64)
-    if xs.ndim != 2 or xt.ndim != 2 or xs.shape[1] != xt.shape[1]:
+    if xs.ndim not in (2, 3) or xt.ndim != xs.ndim or xs.shape[-1] != xt.shape[-1]:
         raise ValueError(
             f"embedding dimensions differ: {xs.shape} vs {xt.shape}"
         )
-    diff = xs[:, None, :] - xt[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _round_to_marginals(plan, u, v):
-    """Project a near-feasible plan onto the transport polytope.
-
-    Clamped row/column rescaling followed by a rank-one correction; the
-    result has exact marginals, stays nonnegative, and moves total mass by
-    at most the input's marginal violation.
-    """
-    r = plan.sum(axis=1)
-    plan = plan * np.minimum(u / np.maximum(r, 1e-300), 1.0)[:, None]
-    c = plan.sum(axis=0)
-    plan = plan * np.minimum(v / np.maximum(c, 1e-300), 1.0)[None, :]
-    du = u - plan.sum(axis=1)
-    dv = v - plan.sum(axis=0)
-    mass = du.sum()
-    if mass > 1e-300:
-        plan = plan + np.outer(du, dv) / mass
-    return plan
-
-
-def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e-7,
-                round_plan=True, init_potentials=None):
-    """Entropic optimal transport by log-domain Sinkhorn scaling.
-
-    Iterates dual potential updates on the kernel ``exp(-cost/beta)`` until
-    the L1 marginal violation drops below ``tol``, then (by default) rounds
-    the iterate onto the transport polytope so the returned plan meets its
-    marginals to float precision. The reported objective is the
-    unregularized transport cost ``<plan, cost>``. ``init_potentials`` warm
-    starts the duals (e.g. from a previous solve on a nearby cost).
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a 2-D matrix")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost must be finite")
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
-    n, m = cost.shape
-    u, v = _check_marginals(source_weights, target_weights, n, m)
-
-    loga = np.log(u)
-    logb = np.log(v)
-    scaled_cost = cost / beta
-    if init_potentials is not None:
-        f, g = (np.asarray(p, dtype=np.float64).copy() for p in init_potentials)
-    else:
-        f = np.zeros(n)
-        g = np.zeros(m)
-    errors = []
-    converged = False
-    plan = np.outer(u, v)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        f = loga - _logsumexp(g[None, :] - scaled_cost, axis=1)
-        g = logb - _logsumexp(f[:, None] - scaled_cost, axis=0)
-        plan = np.exp(f[:, None] + g[None, :] - scaled_cost)
-        err = float(np.abs(plan.sum(axis=1) - u).sum() + np.abs(plan.sum(axis=0) - v).sum())
-        errors.append(err)
-        if err < tol:
-            converged = True
-            break
-    if round_plan:
-        plan = _round_to_marginals(plan, u, v)
-        final_err = float(np.abs(plan.sum(axis=1) - u).sum() + np.abs(plan.sum(axis=0) - v).sum())
-    else:
-        final_err = errors[-1]
-    return TransportPlan(
-        plan=plan,
-        source_weights=u,
-        target_weights=v,
-        objective=float((plan * cost).sum()),
-        iterations=iterations,
-        converged=converged,
-        marginal_error=final_err,
-        marginal_errors=errors,
-        potentials=(f, g),
-    )
+    diff = xs[..., :, None, :] - xt[..., None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
-# Gromov-Wasserstein with absolute-difference quartet loss
+# the stacked core: K same-shape problems solved in lockstep
 
 
-_DENSE_QUARTET_LIMIT = 250_000  # entries of the (n, m, n, m) difference tensor
+@dataclass
+class _Stack:
+    """Solutions of K same-shape transport problems solved in lockstep."""
+
+    plans: np.ndarray  # (K, n, m)
+    objectives: np.ndarray  # (K,) unregularized costs
+    errors: np.ndarray  # (K,) L1 marginal violations of the returned plans
+    iterations: int
+    converged: bool  # every problem met its stopping rule
+    history: np.ndarray  # (iterations, K) violations before rounding, of the last Sinkhorn
+    duals: tuple = None  # scaled potentials, (K, n) and (K, m)
+
+    def plan(self, k, u, v):
+        """Problem ``k`` of the stack as a TransportPlan."""
+        return TransportPlan(
+            plan=self.plans[k],
+            source_weights=u,
+            target_weights=v,
+            objective=float(self.objectives[k]),
+            iterations=self.iterations,
+            converged=self.converged,
+            marginal_error=float(self.errors[k]),
+            marginal_errors=self.history[:, k].tolist(),
+            potentials=None if self.duals is None else (self.duals[0][k], self.duals[1][k]),
+        )
 
 
-def _quartet_diff_tensor(a_s, a_t):
-    """D[i, j, a, b] = |A_s[i, a] - A_t[j, b]|; independent of the plan."""
-    return np.abs(a_s[:, None, :, None] - a_t[None, :, None, :])
+def _logsumexp(x, axis):
+    m = x.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
 
 
-def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
-    """Quartet objective and pseudo-cost for a fixed coupling.
+def _marginal_errors(plans, u, v):
+    return np.abs(plans.sum(axis=2) - u).sum(axis=1) + np.abs(plans.sum(axis=1) - v).sum(axis=1)
 
-    With loss ``|A_s[i,i'] - A_t[j,j']|`` the pseudo-cost is
-    ``G[i,j] = sum_{i',j'} plan[i',j'] * |A_s[i,i'] - A_t[j,j']|`` and the
-    objective is ``<plan, G>``. The ``factorized`` method sorts each target
-    row once and reads weighted L1 distances off prefix sums, avoiding the
-    quadruple loop (O(n m (n + m) log) instead of O(n^2 m^2)); ``dense``
-    contracts the full difference tensor, which is faster below
-    ~250k entries, and ``auto`` picks by size.
+
+def _round_to_marginals(plans, u, v):
+    """Project near-feasible plans (K, n, m) onto the transport polytope.
+
+    Clamped row/column rescaling followed by a rank-one correction; each
+    result has exact marginals, stays nonnegative, and moves total mass by
+    at most its input's marginal violation.
     """
-    a_s = np.asarray(source_adjacency, dtype=np.float64)
-    a_t = np.asarray(target_adjacency, dtype=np.float64)
-    plan = np.asarray(plan, dtype=np.float64)
-    if a_s.ndim != 2 or a_s.shape[0] != a_s.shape[1]:
-        raise ValueError("source adjacency must be square")
-    if a_t.ndim != 2 or a_t.shape[0] != a_t.shape[1]:
-        raise ValueError("target adjacency must be square")
-    n, m = a_s.shape[0], a_t.shape[0]
-    if plan.shape != (n, m):
-        raise ValueError(f"plan shape {plan.shape} does not match ({n}, {m})")
-    if method not in ("auto", "dense", "factorized"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT):
-        diff = _quartet_diff_tensor(a_s, a_t)
-        pseudo = np.einsum("ab,ijab->ij", plan, diff)
-        return float((plan * pseudo).sum()), pseudo
+    r = plans.sum(axis=2)
+    plans = plans * np.minimum(u / np.maximum(r, 1e-300), 1.0)[:, :, None]
+    c = plans.sum(axis=1)
+    plans = plans * np.minimum(v / np.maximum(c, 1e-300), 1.0)[:, None, :]
+    du = u - plans.sum(axis=2)
+    dv = v - plans.sum(axis=1)
+    mass = du.sum(axis=1)
+    safe = np.maximum(mass, 1e-300)
+    return plans + np.where(
+        (mass > 1e-300)[:, None, None], du[:, :, None] * dv[:, None, :] / safe[:, None, None], 0.0
+    )
 
+
+def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, round_plan=True):
+    """Log-domain Sinkhorn over a (K, n, m) stack of costs.
+
+    Iterates until every problem's L1 marginal violation is below ``tol``
+    (or ``max_iter``), then rounds the plans onto the transport polytope.
+    A non-finite cost raises FloatingPointError instead of yielding NaN plans.
+    """
+    if not np.all(np.isfinite(costs)):
+        raise FloatingPointError("transport cost is not finite")
+    k, n, m = costs.shape
+    loga = np.log(u)
+    logb = np.log(v)
+    scaled = costs / beta
+    if init_potentials is not None:
+        f, g = init_potentials
+    else:
+        f = np.zeros((k, n))
+        g = np.zeros((k, m))
+    plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
+    errors = np.zeros(k)
+    history = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        f = loga - _logsumexp(g[:, None, :] - scaled, axis=2)
+        g = logb - _logsumexp(f[:, :, None] - scaled, axis=1)
+        plans = np.exp(f[:, :, None] + g[:, None, :] - scaled)
+        errors = _marginal_errors(plans, u, v)
+        history.append(errors)
+        if errors.max() < tol:
+            converged = True
+            break
+    if round_plan:
+        plans = _round_to_marginals(plans, u, v)
+        errors = _marginal_errors(plans, u, v)
+    objectives = np.einsum("kij,kij->k", plans, costs)
+    return _Stack(plans, objectives, errors, iterations, converged,
+                  np.reshape(history, (-1, k)), (f, g))
+
+
+_DENSE_QUARTET_LIMIT = 250_000  # entries of one (n, m, n, m) difference tensor
+
+
+def _factorized_pseudo_cost(a_s, a_t, plan):
+    """``G[i, j] = sum_{i',j'} plan[i',j'] |A_s[i,i'] - A_t[j,j']|`` from prefix sums.
+
+    Sorts each target row once and reads weighted L1 distances off prefix
+    sums: O(n m (n + m) log) instead of the quadruple loop's O(n^2 m^2).
+    """
+    n, m = plan.shape
     pseudo = np.empty((n, m))
     queries = a_s  # queries[i, i'] is matched against row i' of the prefix tables
     row_of_query = np.broadcast_to(np.arange(n), (n, n))
@@ -241,8 +244,121 @@ def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
         below_v = cum_v[row_of_query, pos]
         per_pair = queries * (2.0 * below_w - total_w[row_of_query]) + total_v[row_of_query] - 2.0 * below_v
         pseudo[:, j] = per_pair.sum(axis=1)
-    objective = float((plan * pseudo).sum())
-    return objective, pseudo
+    return pseudo
+
+
+def _quartet_pseudo_costs(adj_s, adj_t, dense):
+    """Pseudo-cost maps for stacks of adjacencies (K, n, n) and (K, m, m).
+
+    Returns ``forward(plans)[k, i, j] = sum_ab plans[k, a, b] |A_s[k, i, a] - A_t[k, j, b]|``
+    and ``backward``, the same for the transposed adjacencies. The dense maps
+    contract the plan-independent difference tensor, built once here so that
+    every outer GW step reuses it; the factorized maps use prefix sums.
+    """
+    if dense:
+        diff = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
+        return (lambda plans: np.einsum("kab,kijab->kij", plans, diff, optimize=True),
+                lambda plans: np.einsum("kab,kabij->kij", plans, diff, optimize=True))
+
+    def factorized(a_s, a_t):
+        return lambda plans: np.stack(
+            [_factorized_pseudo_cost(s, t, p) for s, t, p in zip(a_s, a_t, plans)]
+        )
+
+    return factorized(adj_s, adj_t), factorized(adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1))
+
+
+def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, obj_tol=1e-9):
+    """Projected-gradient entropic GW over stacks (K, n, n) vs (K, m, m).
+
+    Each outer step linearizes the quartet objective at the current plans
+    and projects with Sinkhorn, warm started from the previous duals. The
+    stack stops when its plans stop moving or every problem's objective has
+    stalled for three steps; each problem returns its best iterate.
+    """
+    k, n = adj_s.shape[:2]
+    m = adj_t.shape[1]
+    forward, backward = _quartet_pseudo_costs(adj_s, adj_t, n * n * m * m <= _DENSE_QUARTET_LIMIT)
+    plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
+    pseudo = forward(plans)
+    best_plans = plans.copy()
+    best_objs = np.einsum("kij,kij->k", plans, pseudo)
+    best_errs = np.zeros(k)
+    stalled = np.zeros(k, dtype=int)
+    step = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, outer_iter + 1):
+        direction = 0.5 * (pseudo + backward(plans))
+        step = _sinkhorn(direction, u, v, beta, sink_iter, sink_tol,
+                         init_potentials=None if step is None else step.duals)
+        delta = np.abs(step.plans - plans).max()
+        plans = step.plans
+        pseudo = forward(plans)
+        objs = np.einsum("kij,kij->k", plans, pseudo)
+        improved = objs < best_objs - obj_tol * np.maximum(1.0, np.abs(best_objs))
+        take = objs <= best_objs
+        best_plans[take] = plans[take]
+        best_errs[take] = step.errors[take]
+        best_objs = np.minimum(best_objs, objs)
+        stalled = np.where(improved, 0, stalled + 1)
+        if delta < tol or stalled.min() >= 3:
+            converged = True
+            break
+    history = np.zeros((0, k)) if step is None else step.history
+    return _Stack(best_plans, best_objs, best_errs, iterations, converged, history)
+
+
+# ---------------------------------------------------------------------------
+# single problems: validating wrappers over the core (a stack of one)
+
+
+def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e-7,
+                round_plan=True, init_potentials=None):
+    """Entropic optimal transport by log-domain Sinkhorn scaling.
+
+    Iterates dual potential updates on the kernel ``exp(-cost/beta)`` until
+    the L1 marginal violation drops below ``tol``, then (by default) rounds
+    the iterate onto the transport polytope so the returned plan meets its
+    marginals to float precision. The reported objective is the
+    unregularized transport cost ``<plan, cost>``. ``init_potentials`` warm
+    starts the duals (e.g. from a previous solve on a nearby cost).
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError("cost must be a 2-D matrix")
+    if beta <= 0.0:
+        raise ValueError("beta must be > 0")
+    u, v = _check_marginals(source_weights, target_weights, *cost.shape)
+    if init_potentials is not None:
+        init_potentials = tuple(np.asarray(p, dtype=np.float64)[None] for p in init_potentials)
+    solved = _sinkhorn(cost[None], u, v, beta, max_iter, tol, init_potentials, round_plan)
+    return solved.plan(0, u, v)
+
+
+def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
+    """Quartet objective and pseudo-cost for a fixed coupling.
+
+    With loss ``|A_s[i,i'] - A_t[j,j']|`` the pseudo-cost is
+    ``G[i,j] = sum_{i',j'} plan[i',j'] * |A_s[i,i'] - A_t[j,j']|`` and the
+    objective is ``<plan, G>``. The ``factorized`` method sorts each target
+    row once and reads weighted L1 distances off prefix sums, avoiding the
+    quadruple loop (O(n m (n + m) log) instead of O(n^2 m^2)); ``dense``
+    contracts the full difference tensor, which is faster below
+    ~250k entries, and ``auto`` picks by size.
+    """
+    a_s = _square(source_adjacency, "source")
+    a_t = _square(target_adjacency, "target")
+    plan = np.asarray(plan, dtype=np.float64)
+    n, m = a_s.shape[0], a_t.shape[0]
+    if plan.shape != (n, m):
+        raise ValueError(f"plan shape {plan.shape} does not match ({n}, {m})")
+    if method not in ("auto", "dense", "factorized"):
+        raise ValueError(f"unknown method {method!r}")
+    dense = method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT)
+    forward, _ = _quartet_pseudo_costs(a_s[None], a_t[None], dense)
+    pseudo = forward(plan[None])
+    return float(np.einsum("kij,kij->k", plan[None], pseudo)[0]), pseudo[0]
 
 
 def gwd_cost_naive(source_adjacency, target_adjacency, plan):
@@ -288,65 +404,12 @@ def entropic_gwd(
     the plain pseudo-cost for symmetric ones. Reports the unregularized
     quartet objective.
     """
-    a_s = np.asarray(source_adjacency, dtype=np.float64)
-    a_t = np.asarray(target_adjacency, dtype=np.float64)
-    n, m = a_s.shape[0], a_t.shape[0]
-    u, v = _check_marginals(source_weights, target_weights, n, m)
-
-    # the difference tensor is plan-independent; cache it for every outer step
-    dense = n * n * m * m <= _DENSE_QUARTET_LIMIT
-    diff = _quartet_diff_tensor(a_s, a_t) if dense else None
-
-    def pseudo_costs(plan):
-        if dense:
-            forward = np.einsum("ab,ijab->ij", plan, diff)
-            backward = np.einsum("ab,abij->ij", plan, diff)
-            return forward, backward
-        return gwd_cost(a_s, a_t, plan, method="factorized")[1], gwd_cost(
-            a_s.T, a_t.T, plan, method="factorized"
-        )[1]
-
-    def objective_at(plan):
-        if dense:
-            return float((plan * np.einsum("ab,ijab->ij", plan, diff)).sum())
-        return gwd_cost(a_s, a_t, plan, method="factorized")[0]
-
-    plan = np.outer(u, v)
-    converged = False
-    iterations = 0
-    last = None
-    warm = None
-    best_plan, best_obj, best_err = plan, objective_at(plan), 0.0
-    stalled = 0
-    for iterations in range(1, outer_iter + 1):
-        pseudo_f, pseudo_b = pseudo_costs(plan)
-        direction = 0.5 * (pseudo_f + pseudo_b)
-        last = sinkhorn_wd(direction, u, v, beta, max_iter=sink_iter, tol=sink_tol,
-                           init_potentials=warm)
-        warm = last.potentials
-        delta = float(np.abs(last.plan - plan).max())
-        plan = last.plan
-        obj = objective_at(plan)
-        if obj < best_obj - obj_tol * max(1.0, abs(best_obj)):
-            best_plan, best_obj, best_err = plan, obj, last.marginal_error
-            stalled = 0
-        else:
-            if obj <= best_obj:
-                best_plan, best_obj, best_err = plan, obj, last.marginal_error
-            stalled += 1
-        if delta < tol or stalled >= 3:
-            converged = True
-            break
-    return TransportPlan(
-        plan=best_plan,
-        source_weights=u,
-        target_weights=v,
-        objective=best_obj,
-        iterations=iterations,
-        converged=converged,
-        marginal_error=best_err,
-        marginal_errors=last.marginal_errors if last is not None else [],
-    )
+    a_s = _square(source_adjacency, "source")
+    a_t = _square(target_adjacency, "target")
+    u, v = _check_marginals(source_weights, target_weights, a_s.shape[0], a_t.shape[0])
+    solved = _entropic_gwd(a_s[None], a_t[None], u, v, beta, outer_iter, tol, sink_iter,
+                           sink_tol, obj_tol)
+    return solved.plan(0, u, v)
 
 
 def ga_distance(problem, sink_iter=200, sink_tol=1e-7, gw_outer=20, gw_tol=1e-8):
@@ -368,103 +431,6 @@ def ga_distance(problem, sink_iter=200, sink_tol=1e-7, gw_outer=20, gw_tol=1e-8)
         sink_tol=sink_tol,
     )
     return GAResult(value=problem.lam * (wd.objective + gwd.objective), wd=wd, gwd=gwd)
-
-
-# ---------------------------------------------------------------------------
-# batched solvers: many same-shape problems advanced in lockstep (one numpy
-# call per update instead of one per problem; identical fixed points)
-
-
-def _logsumexp_b(x, axis):
-    m = x.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
-
-
-def _sinkhorn_batch(costs, u, v, beta, max_iter, tol, init_potentials=None):
-    """Log-domain Sinkhorn over a stack of (n, m) costs; returns rounded plans."""
-    k, n, m = costs.shape
-    loga = np.log(u)[None, :]
-    logb = np.log(v)[None, :]
-    scaled = costs / beta
-    if init_potentials is not None:
-        f, g = (p.copy() for p in init_potentials)
-    else:
-        f = np.zeros((k, n))
-        g = np.zeros((k, m))
-    plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
-    iterations = 0
-    converged = False
-    errs = np.zeros(k)
-    for iterations in range(1, max_iter + 1):
-        f = loga - _logsumexp_b(g[:, None, :] - scaled, axis=2)
-        g = logb - _logsumexp_b(f[:, :, None] - scaled, axis=1)
-        plans = np.exp(f[:, :, None] + g[:, None, :] - scaled)
-        errs = (
-            np.abs(plans.sum(axis=2) - u[None, :]).sum(axis=1)
-            + np.abs(plans.sum(axis=1) - v[None, :]).sum(axis=1)
-        )
-        if errs.max() < tol:
-            converged = True
-            break
-    # rounding, batched over the stack
-    r = plans.sum(axis=2)
-    plans = plans * np.minimum(u[None, :] / np.maximum(r, 1e-300), 1.0)[:, :, None]
-    c = plans.sum(axis=1)
-    plans = plans * np.minimum(v[None, :] / np.maximum(c, 1e-300), 1.0)[:, None, :]
-    du = u[None, :] - plans.sum(axis=2)
-    dv = v[None, :] - plans.sum(axis=1)
-    mass = du.sum(axis=1)
-    safe = np.maximum(mass, 1e-300)
-    plans = plans + np.where(
-        (mass > 1e-300)[:, None, None], du[:, :, None] * dv[:, None, :] / safe[:, None, None], 0.0
-    )
-    final_errs = (
-        np.abs(plans.sum(axis=2) - u[None, :]).sum(axis=1)
-        + np.abs(plans.sum(axis=1) - v[None, :]).sum(axis=1)
-    )
-    objectives = np.einsum("kij,kij->k", plans, costs)
-    return plans, objectives, final_errs, iterations, converged, (f, g)
-
-
-def _entropic_gwd_batch(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol,
-                        obj_tol=1e-9):
-    """Projected-gradient GW over stacks (K, n, n) vs (K, m, m)."""
-    k, n = adj_s.shape[:2]
-    m = adj_t.shape[1]
-    diff = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
-
-    def pseudo_at(plans):
-        return np.einsum("kab,kijab->kij", plans, diff, optimize=True)
-
-    plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
-    pseudo_f = pseudo_at(plans)
-    best_plans = plans.copy()
-    best_objs = np.einsum("kij,kij->k", plans, pseudo_f)
-    best_errs = np.zeros(k)
-    stalled = np.zeros(k, dtype=int)
-    warm = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, outer_iter + 1):
-        pseudo_b = np.einsum("kab,kabij->kij", plans, diff, optimize=True)
-        direction = 0.5 * (pseudo_f + pseudo_b)
-        new_plans, _, errs, _, _, warm = _sinkhorn_batch(
-            direction, u, v, beta, sink_iter, sink_tol, init_potentials=warm
-        )
-        delta = np.abs(new_plans - plans).max()
-        plans = new_plans
-        pseudo_f = pseudo_at(plans)
-        objs = np.einsum("kij,kij->k", plans, pseudo_f)
-        improved = objs < best_objs - obj_tol * np.maximum(1.0, np.abs(best_objs))
-        take = objs <= best_objs
-        best_plans[take] = plans[take]
-        best_errs[take] = errs[take]
-        best_objs = np.minimum(best_objs, objs)
-        stalled = np.where(improved, 0, stalled + 1)
-        if delta < tol or stalled.min() >= 3:
-            converged = True
-            break
-    return best_plans, best_objs, best_errs, iterations, converged
 
 
 # ---------------------------------------------------------------------------
@@ -693,90 +659,66 @@ def batch_alignment(
 
     n = emb.data.shape[1]
     u = uniform_weights(n)
+    v = u if omega_mode == "mean" else uniform_weights((batch - 1) * n)
+    emb_sum_np = emb.data.sum(axis=0)
+    adj_sum_np = adj.data.sum(axis=0)
+
+    def references(s):
+        """Reference embeddings and adjacencies of the windows in slice ``s``, stacked."""
+        if omega_mode == "mean":
+            return (emb_sum_np - emb.data[s]) / (batch - 1), (adj_sum_np - adj.data[s]) / (batch - 1)
+        others = [k for k in range(batch) if k != s.start]  # concat stacks hold one window
+        at = np.zeros(((batch - 1) * n, (batch - 1) * n))
+        for slot, k in enumerate(others):
+            at[slot * n : (slot + 1) * n, slot * n : (slot + 1) * n] = adj.data[k]
+        return emb.data[others].reshape(1, (batch - 1) * n, -1), at[None]
+
+    # all windows advance in lockstep as one stack while the stacked problem is
+    # small (B * N^4 bounds the dense GW difference tensor); otherwise, and in
+    # concat mode, each window is a stack of one
+    lockstep = omega_mode == "mean" and batch * n**4 <= 2_000_000
+    stacks = [slice(0, batch)] if lockstep else [slice(i, i + 1) for i in range(batch)]
     wd_vals = np.zeros(batch)
     gwd_vals = np.zeros(batch)
     wd_plans = []
     gwd_plans = []
+    for s in stacks:
+        xt_np, at_np = references(s)
+        if "wd" in terms:
+            solved = _sinkhorn(cost_matrix(emb.data[s], xt_np), u, v, beta, sink_iter, sink_tol)
+            wd_vals[s] = solved.objectives
+            wd_plans += [solved.plan(k, u, v) for k in range(len(solved.plans))]
+        if "gwd" in terms:
+            solved = _entropic_gwd(adj.data[s], at_np, u, v, beta, gw_outer, gw_tol,
+                                   sink_iter, sink_tol)
+            gwd_vals[s] = solved.objectives
+            gwd_plans += [solved.plan(k, u, v) for k in range(len(solved.plans))]
+
     total = Tensor(0.0)
     emb_sum = emb.sum(axis=0) if emb.requires_grad else None
     adj_sum = adj.sum(axis=0) if adj.requires_grad else None
-    emb_sum_np = emb.data.sum(axis=0)
-    adj_sum_np = adj.data.sum(axis=0)
-
-    # mean mode solves B same-shape problems; advance them in lockstep
-    batched = omega_mode == "mean" and batch * n**4 <= 2_000_000
-    if batched:
-        xt_all = (emb_sum_np[None, :, :] - emb.data) / (batch - 1)
-        at_all = (adj_sum_np[None, :, :] - adj.data) / (batch - 1)
-        if "wd" in terms:
-            pair = emb.data[:, :, None, :] - xt_all[:, None, :, :]
-            costs = np.sqrt((pair * pair).sum(axis=3))
-            plans, wd_vals, errs, iters, conv, _ = _sinkhorn_batch(
-                costs, u, u, beta, sink_iter, sink_tol
-            )
-            for i in range(batch):
-                wd_plans.append(TransportPlan(plans[i], u, u, float(wd_vals[i]),
-                                              iters, conv, float(errs[i])))
-        if "gwd" in terms:
-            gplans, gwd_vals, gerrs, giters, gconv = _entropic_gwd_batch(
-                adj.data, at_all, u, u, beta, gw_outer, gw_tol, sink_iter, sink_tol
-            )
-            for i in range(batch):
-                gwd_plans.append(TransportPlan(gplans[i], u, u, float(gwd_vals[i]),
-                                               giters, gconv, float(gerrs[i])))
-
     for i in range(batch):
-        xs_np = emb.data[i]
-        as_np = adj.data[i]
-        if omega_mode == "mean":
-            xt_np = (emb_sum_np - xs_np) / (batch - 1)
-            at_np = (adj_sum_np - as_np) / (batch - 1)
-            v = u
-        else:
-            others = [k for k in range(batch) if k != i]
-            xt_np = emb.data[others].reshape((batch - 1) * n, -1)
-            at_np = np.zeros(((batch - 1) * n, (batch - 1) * n))
-            for slot, k in enumerate(others):
-                at_np[slot * n : (slot + 1) * n, slot * n : (slot + 1) * n] = adj.data[k]
-            v = uniform_weights((batch - 1) * n)
-
         xs_t = emb[i] if (emb.requires_grad or adj.requires_grad) else None
         if "wd" in terms:
-            if batched:
-                wd = wd_plans[i]
-            else:
-                wd = sinkhorn_wd(cost_matrix(xs_np, xt_np), u, v, beta,
-                                 max_iter=sink_iter, tol=sink_tol)
-                wd_vals[i] = wd.objective
-                wd_plans.append(wd)
             if emb.requires_grad:
                 if omega_mode == "mean":
                     xt_t = mul(sub(emb_sum, xs_t), 1.0 / (batch - 1))
                 else:
                     xt_t = concat([emb[k] for k in range(batch) if k != i], axis=0)
-                total = total + wd_cost_term(xs_t, xt_t, wd.plan)
+                total = total + wd_cost_term(xs_t, xt_t, wd_plans[i].plan)
             else:
-                total = total + Tensor(wd.objective)
+                total = total + Tensor(wd_plans[i].objective)
         if "gwd" in terms:
-            if batched:
-                gwd = gwd_plans[i]
-            else:
-                gwd = entropic_gwd(
-                    as_np, at_np, u, v, beta,
-                    outer_iter=gw_outer, tol=gw_tol, sink_iter=sink_iter, sink_tol=sink_tol,
-                )
-                gwd_vals[i] = gwd.objective
-                gwd_plans.append(gwd)
             if adj.requires_grad:
                 as_t = adj[i]
                 if omega_mode == "mean":
                     at_t = mul(sub(adj_sum, as_t), 1.0 / (batch - 1))
-                    total = total + gwd_cost_term(as_t, at_t, gwd.plan)
+                    total = total + gwd_cost_term(as_t, at_t, gwd_plans[i].plan)
                 else:
                     at_blocks = [adj[k] for k in range(batch) if k != i]
-                    total = total + gwd_cost_term(as_t, at_blocks, gwd.plan)
+                    total = total + gwd_cost_term(as_t, at_blocks, gwd_plans[i].plan)
             else:
-                total = total + Tensor(gwd.objective)
+                total = total + Tensor(gwd_plans[i].objective)
 
     ga_vals = lam * (wd_vals + gwd_vals)
     loss_term = mul(total, lam / batch)

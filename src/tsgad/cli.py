@@ -324,8 +324,6 @@ def cmd_oracle(args, argv):
 def build_parser():
     parser = _Parser(prog="tsgad", description=__doc__)
     parser.add_argument("--manifest", help="replay a previously recorded run")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (currently single-threaded; recorded in manifests)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")

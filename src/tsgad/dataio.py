@@ -43,6 +43,13 @@ class SeriesDataset:
             raise DataFormatError("labels must have one entry per time step")
         if not np.isin(self.labels, (0, 1)).all():
             raise DataFormatError("labels must be binary")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise DataFormatError(
+                f"time step {row}, column {self.channel_names[col]!r}: "
+                f"non-finite value {float(self.values[row, col])}"
+            )
 
     @property
     def length(self):

@@ -21,7 +21,8 @@ from .align import batch_alignment
 from .autodiff import Tensor
 from .dataio import normalize_with, window_table
 from .encoder import encode_batch, init_encoder
-from .errors import CheckpointError, ConfigError, DivergenceError, MetricUndefinedError
+from .errors import (CheckpointError, ConfigError, DataFormatError, DivergenceError,
+                     MetricUndefinedError)
 from .flow import batch_log_likelihood, init_flow, log_prob
 from .graph import AttentionParams, attention_adjacency, init_attention
 
@@ -235,14 +236,17 @@ def train(train_ds, config):
             batch = windows[take]
             adjacency, embeddings, mean_ll = _forward_batch(model, batch, True, dropout_rng)
             if terms:
-                align = batch_alignment(
-                    embeddings,
-                    adjacency,
-                    lam=cfg.lam,
-                    beta=cfg.beta,
-                    terms=terms,
-                    omega_mode=cfg.omega_mode,
-                )
+                try:
+                    align = batch_alignment(
+                        embeddings,
+                        adjacency,
+                        lam=cfg.lam,
+                        beta=cfg.beta,
+                        terms=terms,
+                        omega_mode=cfg.omega_mode,
+                    )
+                except FloatingPointError as exc:
+                    raise DivergenceError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
                 loss = align.loss_term - mean_ll
             else:
                 loss = -mean_ll
@@ -343,6 +347,11 @@ def _score_windows(model, windows):
     batch_size = cfg.batch_size
     n_total = len(windows)
     terms = ABLATIONS[cfg.ablation]
+    if terms and n_total < 2:
+        raise DataFormatError(
+            f"scoring split yields {n_total} window; the alignment terms compare each window "
+            "with the others in its batch, so at least 2 are needed"
+        )
     wd = np.zeros(n_total)
     gwd = np.zeros(n_total)
     nll = np.zeros(n_total)

@@ -4,6 +4,8 @@ import pytest
 from tsgad import autodiff as ad
 from tsgad.align import (
     AlignProblem,
+    _entropic_gwd,
+    _sinkhorn,
     alignment_equivalence_check,
     batch_alignment,
     cost_matrix,
@@ -172,6 +174,10 @@ def test_entropic_gwd_identical_graphs():
     res = entropic_gwd(a, a, u, u, beta=0.01, outer_iter=100, tol=1e-10,
                        sink_iter=3000, sink_tol=1e-9)
     assert res.objective < 1e-6
+    # the core on a stack of identical problems returns one identical plan per problem
+    stack = _entropic_gwd(np.stack([a] * 3), np.stack([a] * 3), u, u, 0.01, 100, 1e-10, 3000, 1e-9)
+    for plan in stack.plans:
+        np.testing.assert_array_equal(plan, res.plan)
 
 
 def test_entropic_gwd_relabeling_invariance():
@@ -226,6 +232,10 @@ def test_transport_plan_marginals_feasible():
     assert np.abs(res.plan.sum(axis=1) - u).max() < 1e-6
     assert np.abs(res.plan.sum(axis=0) - v).max() < 1e-6
     assert np.all(res.plan >= 0.0)
+    # the core on a stack of identical problems returns one identical plan per problem
+    stack = _sinkhorn(np.stack([cost] * 3), u, v, 0.05, 2000, 1e-8)
+    for plan in stack.plans:
+        np.testing.assert_array_equal(plan, res.plan)
 
 
 # enumeration-based equivalence of the two alignment objectives
@@ -390,6 +400,24 @@ def test_batch_alignment_term_selection():
     both = batch_alignment(emb, adj, lam=0.1, beta=0.05)
     np.testing.assert_allclose(both.wd, wd_only.wd, atol=1e-12)
     np.testing.assert_allclose(both.gwd, gwd_only.gwd, atol=1e-12)
+
+
+def test_batch_alignment_stack_of_one_route_matches_single_solves():
+    # B * N^4 = 2 * 32^4 > 2e6, so each window is solved as a stack of one;
+    # N = 32 also takes the factorized GW pseudo-cost (N^4 > 250k)
+    rng = np.random.default_rng(12)
+    emb = rng.random((2, 32, 3))
+    raw = rng.random((2, 32, 32))
+    adj = raw / raw.sum(axis=2, keepdims=True)
+    res = batch_alignment(Tensor(emb), Tensor(adj), lam=0.1, beta=0.05)
+    u = uniform_weights(32)
+    for i in range(2):
+        wd = sinkhorn_wd(cost_matrix(emb[i], emb.sum(axis=0) - emb[i]), u, u, 0.05)
+        np.testing.assert_array_equal(res.wd_plans[i].plan, wd.plan)
+        assert res.wd[i] == wd.objective
+        gwd = entropic_gwd(adj[i], adj.sum(axis=0) - adj[i], u, u, 0.05)
+        np.testing.assert_array_equal(res.gwd_plans[i].plan, gwd.plan)
+        assert res.gwd[i] == gwd.objective
 
 
 def test_batch_alignment_concat_mode():

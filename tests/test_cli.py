@@ -195,6 +195,48 @@ def test_bad_checkpoint_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def _with_cell(src, dst, row, column, text):
+    """Copy a CSV with one cell replaced; ``row`` counts data rows (time steps) from 0."""
+    lines = src.read_text().splitlines()
+    cells = lines[1 + row].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[1 + row] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def test_train_nan_cell_exit_2(tmp_path, capsys):
+    data = _with_cell(_synth(tmp_path), tmp_path / "nan.csv", 100, "ch1", "nan")
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                 "--seed", "3", *FAST_TRAIN])
+    assert code == 2
+    assert "time step 100, column 'ch1': non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_score_nan_cell_exit_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ckpt = _train(tmp_path, data)
+    bad = _with_cell(data, tmp_path / "nan.csv", 300, "ch2", "nan")
+    code = main(["score", "--data", str(bad), "--checkpoint", str(ckpt),
+                 "--out-prefix", str(tmp_path / "s")])
+    assert code == 2
+    assert "time step 300, column 'ch2': non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.scores.csv").exists()
+
+
+def test_score_single_window_exit_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ckpt = _train(tmp_path, data)
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(data.read_text().splitlines()[:21]) + "\n")  # 20 rows, window 20
+    code = main(["score", "--data", str(short), "--checkpoint", str(ckpt), "--split", "all",
+                 "--out-prefix", str(tmp_path / "s")])
+    assert code == 2
+    assert "yields 1 window" in capsys.readouterr().err
+    assert not (tmp_path / "s.scores.csv").exists()
+
+
 def test_usage_error_exit_1():
     assert main(["train"]) == 1  # missing required flags
 

@@ -181,11 +181,13 @@ def test_train_requires_normalized_dataset():
 def test_train_divergence_reports_coordinates():
     train_ds, _ = _tiny_training_pair()
     # an absurd step size overflows the flow's shift outputs after one update;
-    # the likelihood goes to -inf and the loss stops being finite
-    cfg = TrainConfig(ablation="no_ga", **{**DESK, "epochs": 2})
-    cfg.learning_rate = 1e200
-    with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
-        train(train_ds, cfg)
+    # the likelihood goes to -inf and the loss stops being finite (with the
+    # alignment terms on, the transport costs stop being finite first)
+    for ablation in ("no_ga", "full"):
+        cfg = TrainConfig(ablation=ablation, **{**DESK, "epochs": 2})
+        cfg.learning_rate = 1e200
+        with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
+            train(train_ds, cfg)
 
 
 # scoring
