@@ -10,7 +10,7 @@ import numpy as np
 
 from tsgad import autodiff as ad
 from tsgad.dataio import split_normalize, synth_generate, window_table
-from tsgad.graph import adjacency_export, build_graphs
+from tsgad.graph import adjacency_export
 from tsgad.train import TrainConfig, _forward_batch, model_from_checkpoint, train
 
 SEED = 7
@@ -42,9 +42,7 @@ print(np.array_str(normal.mean(axis=0), precision=2, suppress_small=True))
 print("\naverage anomalous-window graph:")
 print(np.array_str(anomalous.mean(axis=0), precision=2, suppress_small=True))
 
-graphs, _ = build_graphs(windows, starts, model.attention,
-                         key_index=config.attention_key_index)
 out = "adjacency_series.csv"
-adjacency_export(graphs, out)
+adjacency_export(starts, mats, out)
 print(f"\nwrote per-window adjacency entries to {out} "
-      f"({len(graphs)} windows x {mats.shape[1]}x{mats.shape[2]} entries)")
+      f"({len(mats)} windows x {mats.shape[1]}x{mats.shape[2]} entries)")

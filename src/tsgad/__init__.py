@@ -10,9 +10,7 @@ reference plus a conditional flow negative log-likelihood.
 __version__ = "0.1.0"
 
 from .align import (
-    AlignProblem,
     BatchAlignment,
-    GAResult,
     TransportPlan,
     alignment_equivalence_check,
     batch_alignment,
@@ -20,7 +18,6 @@ from .align import (
     entropic_gwd,
     exact_gwd_uniform,
     exact_wd_uniform,
-    ga_distance,
     gwd_cost,
     gwd_cost_naive,
     sinkhorn_wd,
@@ -30,15 +27,12 @@ from .autodiff import Tensor, backward, no_grad
 from .dataio import (
     AnomalyInterval,
     SeriesDataset,
-    WindowBatch,
-    load_csv,
-    make_windows,
     read_series,
     split_normalize,
     synth_generate,
     write_series,
 )
-from .encoder import EncoderParams, condition_vector, encode, encode_batch, init_encoder
+from .encoder import EncoderParams, encode_batch, init_encoder
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -49,10 +43,8 @@ from .errors import (
 from .flow import FlowModel, batch_log_likelihood, forward, init_flow, inverse, log_prob
 from .graph import (
     AttentionParams,
-    DynGraph,
     adjacency_export,
-    build_graph,
-    build_graphs,
+    attention_adjacency,
     init_attention,
 )
 from .train import (

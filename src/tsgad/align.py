@@ -46,35 +46,6 @@ class TransportPlan:
     converged: bool
     marginal_error: float
     marginal_errors: list = field(default_factory=list, repr=False)
-    potentials: tuple = field(default=None, repr=False)  # scaled duals, reusable as warm start
-
-
-@dataclass
-class AlignProblem:
-    source_embeddings: np.ndarray
-    source_adjacency: np.ndarray
-    target_embeddings: np.ndarray
-    target_adjacency: np.ndarray
-    lam: float = 0.1
-    beta: float = 0.05
-
-    def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("fusion weight lam must be >= 0")
-        if self.beta <= 0.0:
-            raise ValueError("entropic weight beta must be > 0")
-        for name in ("source_adjacency", "target_adjacency"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} must be a finite square matrix")
-            setattr(self, name, a)
-
-
-@dataclass
-class GAResult:
-    value: float
-    wd: TransportPlan
-    gwd: TransportPlan
 
 
 def _check_marginals(u, v, n, m):
@@ -130,7 +101,7 @@ class _Stack:
     iterations: int
     converged: bool  # every problem met its stopping rule
     history: np.ndarray  # (iterations, K) violations before rounding, of the last Sinkhorn
-    duals: tuple = None  # scaled potentials, (K, n) and (K, m)
+    duals: tuple = None  # scaled potentials, (K, n) and (K, m): the GW loop's warm start
 
     def plan(self, k, u, v):
         """Problem ``k`` of the stack as a TransportPlan."""
@@ -143,7 +114,6 @@ class _Stack:
             converged=self.converged,
             marginal_error=float(self.errors[k]),
             marginal_errors=self.history[:, k].tolist(),
-            potentials=None if self.duals is None else (self.duals[0][k], self.duals[1][k]),
         )
 
 
@@ -176,7 +146,7 @@ def _round_to_marginals(plans, u, v):
     )
 
 
-def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, round_plan=True):
+def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None):
     """Log-domain Sinkhorn over a (K, n, m) stack of costs.
 
     Iterates until every problem's L1 marginal violation is below ``tol``
@@ -208,9 +178,8 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, round_plan
         if errors.max() < tol:
             converged = True
             break
-    if round_plan:
-        plans = _round_to_marginals(plans, u, v)
-        errors = _marginal_errors(plans, u, v)
+    plans = _round_to_marginals(plans, u, v)
+    errors = _marginal_errors(plans, u, v)
     objectives = np.einsum("kij,kij->k", plans, costs)
     return _Stack(plans, objectives, errors, iterations, converged,
                   np.reshape(history, (-1, k)), (f, g))
@@ -313,16 +282,14 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
 # single problems: validating wrappers over the core (a stack of one)
 
 
-def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e-7,
-                round_plan=True, init_potentials=None):
+def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e-7):
     """Entropic optimal transport by log-domain Sinkhorn scaling.
 
     Iterates dual potential updates on the kernel ``exp(-cost/beta)`` until
-    the L1 marginal violation drops below ``tol``, then (by default) rounds
-    the iterate onto the transport polytope so the returned plan meets its
-    marginals to float precision. The reported objective is the
-    unregularized transport cost ``<plan, cost>``. ``init_potentials`` warm
-    starts the duals (e.g. from a previous solve on a nearby cost).
+    the L1 marginal violation drops below ``tol``, then rounds the iterate
+    onto the transport polytope so the returned plan meets its marginals to
+    float precision. The reported objective is the unregularized transport
+    cost ``<plan, cost>``.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -330,9 +297,7 @@ def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
     u, v = _check_marginals(source_weights, target_weights, *cost.shape)
-    if init_potentials is not None:
-        init_potentials = tuple(np.asarray(p, dtype=np.float64)[None] for p in init_potentials)
-    solved = _sinkhorn(cost[None], u, v, beta, max_iter, tol, init_potentials, round_plan)
+    solved = _sinkhorn(cost[None], u, v, beta, max_iter, tol)
     return solved.plan(0, u, v)
 
 
@@ -410,27 +375,6 @@ def entropic_gwd(
     solved = _entropic_gwd(a_s[None], a_t[None], u, v, beta, outer_iter, tol, sink_iter,
                            sink_tol, obj_tol)
     return solved.plan(0, u, v)
-
-
-def ga_distance(problem, sink_iter=200, sink_tol=1e-7, gw_outer=20, gw_tol=1e-8):
-    """Fused alignment distance ``lam * (wd + gwd)`` with independent plans."""
-    xs = np.asarray(problem.source_embeddings, dtype=np.float64)
-    xt = np.asarray(problem.target_embeddings, dtype=np.float64)
-    u = uniform_weights(xs.shape[0])
-    v = uniform_weights(xt.shape[0])
-    wd = sinkhorn_wd(cost_matrix(xs, xt), u, v, problem.beta, max_iter=sink_iter, tol=sink_tol)
-    gwd = entropic_gwd(
-        problem.source_adjacency,
-        problem.target_adjacency,
-        u,
-        v,
-        problem.beta,
-        outer_iter=gw_outer,
-        tol=gw_tol,
-        sink_iter=sink_iter,
-        sink_tol=sink_tol,
-    )
-    return GAResult(value=problem.lam * (wd.objective + gwd.objective), wd=wd, gwd=gwd)
 
 
 # ---------------------------------------------------------------------------

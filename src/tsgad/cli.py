@@ -20,11 +20,9 @@ from . import __version__
 from .dataio import (
     AnomalyInterval,
     SeriesDataset,
-    normalize_with,
     read_series,
     split_normalize,
     synth_generate,
-    window_table,
     write_series,
 )
 from .errors import (
@@ -34,14 +32,12 @@ from .errors import (
     DivergenceError,
     MetricUndefinedError,
 )
-from .graph import adjacency_export, build_graphs
+from .graph import adjacency_export
 from .oracles import run_all
 from .train import (
     PAPER_SCALE,
     TrainConfig,
-    decode_array,
     load_checkpoint,
-    model_from_checkpoint,
     save_checkpoint,
     score,
     train,
@@ -113,7 +109,6 @@ def _add_train_config_flags(parser):
     parser.add_argument("--dropout", type=float)
     parser.add_argument("--ablation", choices=("full", "no_wd", "no_gwd", "no_ga"))
     parser.add_argument("--omega-mode", dest="omega_mode", choices=("mean", "concat"))
-    parser.add_argument("--attention-key-index", dest="attention_key_index", choices=("i", "j"))
     parser.add_argument("--embedding-reduce", dest="embedding_reduce", choices=("concat", "mean"))
     parser.add_argument("--hidden", type=int, help="recurrent hidden width")
     parser.add_argument("--d-step", dest="d_step", type=int, help="per-step embedding width")
@@ -127,9 +122,27 @@ def _add_train_config_flags(parser):
     parser.add_argument("--split-fraction", dest="split_fraction", type=float)
 
 
+def _parse_bool(text):
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
+# TrainConfig field annotation -> (parser, what its values must be)
+_FIELD_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_parse_bool, "one of 1/0/true/false/yes/no"),
+    "str": (str, "text"),
+}
+
+
 def _read_config_file(path):
-    values = {}
-    valid = {f.name for f in fields(TrainConfig)}
+    types = {f.name: f.type for f in fields(TrainConfig)}
+    typed = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -138,23 +151,25 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = (part.strip() for part in line.partition("="))
-            if key not in valid:
+            if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
-    typed = {}
-    for f in fields(TrainConfig):
-        if f.name not in values:
-            continue
-        raw = values[f.name]
-        if f.type in ("int",):
-            typed[f.name] = int(raw)
-        elif f.type in ("float",):
-            typed[f.name] = float(raw)
-        elif f.type in ("bool",):
-            typed[f.name] = raw.lower() in ("1", "true", "yes")
-        else:
-            typed[f.name] = raw
+            parse, expected = _FIELD_PARSERS[types[key]]
+            try:
+                typed[key] = parse(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key} = {value!r} is not {expected}") from None
     return typed
+
+
+def _read_manifest(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            recorded = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not a JSON manifest ({exc})") from None
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{path}: manifest must be a JSON object, got {type(recorded).__name__}")
+    return recorded
 
 
 def _resolve_config(args):
@@ -277,14 +292,7 @@ def _run_scoring(args, argv, command):
         )
     outputs = list(_write_score_outputs(report, offset, args.out_prefix))
     if args.export_graphs:
-        model = model_from_checkpoint(checkpoint)
-        norm = normalize_with(part, decode_array(checkpoint["normalization"]["mean"]),
-                              decode_array(checkpoint["normalization"]["std"]))
-        windows, starts, _ = window_table(norm, config.window, config.stride)
-        graphs, _ = build_graphs(
-            windows, starts + offset, model.attention, key_index=config.attention_key_index
-        )
-        adjacency_export(graphs, args.export_graphs)
+        adjacency_export(report.window_starts + offset, report.adjacency, args.export_graphs)
         outputs.append(args.export_graphs)
     manifest = _write_manifest(
         f"{args.out_prefix}.manifest.json", command, argv, asdict(config),
@@ -358,7 +366,8 @@ def build_parser():
         p.add_argument("--out-prefix", required=True)
         p.add_argument("--label-column", default="label")
         p.add_argument("--split", choices=("test", "train", "all"), default="test")
-        p.add_argument("--export-graphs", metavar="CSV", help="also export per-window adjacency")
+        p.add_argument("--export-graphs", metavar="CSV",
+                       help="also export the adjacency each window was scored with")
 
     p = sub.add_parser("oracle", help="run solver-vs-enumeration and gradient suites")
     p.add_argument("--seeds", type=int, default=100)
@@ -386,11 +395,13 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.manifest:
-            with open(args.manifest, encoding="utf-8") as fh:
-                recorded = json.load(fh)
+            recorded = _read_manifest(args.manifest)
             replay_argv = recorded.get("argv")
-            if not isinstance(replay_argv, list) or not replay_argv:
-                raise ConfigError(f"{args.manifest}: manifest has no recorded argv to replay")
+            if not (isinstance(replay_argv, list) and replay_argv
+                    and all(isinstance(arg, str) for arg in replay_argv)):
+                raise ConfigError(
+                    f"{args.manifest}: manifest has no recorded argv (a list of strings) to replay"
+                )
             print(f"replaying {recorded.get('command')} from {args.manifest}")
             args = parser.parse_args(replay_argv)
             args.manifest = None

@@ -60,13 +60,6 @@ class SeriesDataset:
         return self.values.shape[1]
 
 
-@dataclass
-class WindowBatch:
-    windows: np.ndarray  # (B, T, N)
-    window_starts: np.ndarray  # (B,)
-    window_labels: np.ndarray  # (B,)
-
-
 def read_series(path, label_column="label"):
     """Read a raw (unnormalized) dataset from CSV.
 
@@ -173,46 +166,18 @@ def split_normalize(ds, split_fraction=0.6):
     return train, test
 
 
-def load_csv(path, label_column="label", split_fraction=0.6):
-    """Read, chronologically split, and normalize a CSV dataset."""
-    return split_normalize(read_series(path, label_column=label_column), split_fraction)
-
-
 def num_windows(length, window, stride):
     if window > length:
         raise ConfigError(f"window {window} exceeds series length {length}")
     return (length - window) // stride + 1
 
 
-def make_windows(ds, window, stride, batch_size, keep_partial=True):
-    """Yield batches of sliding windows in chronological order.
-
-    A window is labeled anomalous iff any covered step is. The final
-    partial batch is kept for scoring; training passes
-    ``keep_partial=False`` because the alignment reference needs at least
-    two windows per batch.
-    """
-    if stride < 1:
-        raise ConfigError("stride must be >= 1")
-    if batch_size < 2:
-        raise ConfigError("batch_size must be >= 2")
-    count = num_windows(ds.length, window, stride)
-    starts = np.arange(count) * stride
-    all_windows = np.stack([ds.values[s : s + window] for s in starts]) if count else np.empty((0, window, ds.n_channels))
-    all_labels = np.asarray([int(ds.labels[s : s + window].any()) for s in starts], dtype=np.int64)
-    for lo in range(0, count, batch_size):
-        hi = min(lo + batch_size, count)
-        if hi - lo < batch_size and not keep_partial:
-            return
-        yield WindowBatch(
-            windows=all_windows[lo:hi],
-            window_starts=starts[lo:hi],
-            window_labels=all_labels[lo:hi],
-        )
-
-
 def window_table(ds, window, stride):
-    """All windows at once: (windows, starts, labels) without batching."""
+    """Every sliding window of a series, in chronological order.
+
+    Returns (windows (B, T, N), starts (B,), labels (B,)); a window is
+    labeled anomalous iff any step it covers is.
+    """
     count = num_windows(ds.length, window, stride)
     starts = np.arange(count) * stride
     windows = np.stack([ds.values[s : s + window] for s in starts])

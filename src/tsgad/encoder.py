@@ -114,29 +114,3 @@ def encode_batch(windows, adjacency, params, reduce="concat"):
         return ad.concat(steps, axis=2)
     return running * (1.0 / n_steps)
 
-
-def encode(graph, params, reduce="concat"):
-    """Single-window variant; fills and returns the graph's embeddings (N, d)."""
-    window = graph.node_features.T[None, :, :]  # (1, T, N)
-    adjacency = graph.adjacency
-    if adjacency.ndim == 2:
-        adjacency = ad.reshape(adjacency, (1,) + adjacency.shape)
-    emb = encode_batch(window, adjacency, params, reduce=reduce)
-    graph.embeddings = ad.reshape(emb, emb.shape[1:])
-    return graph.embeddings
-
-
-def condition_vector(embeddings, b, n):
-    """Channel n's embedding for window b, the flow's condition input."""
-    emb = ad.as_tensor(embeddings)
-    if emb.ndim == 2:  # single-window embeddings (N, d)
-        if not 0 <= n < emb.shape[0]:
-            raise IndexError(f"channel {n} out of range for {emb.shape[0]} channels")
-        if b != 0:
-            raise IndexError("single-window embeddings only hold window 0")
-        return emb[n]
-    if not 0 <= b < emb.shape[0]:
-        raise IndexError(f"window {b} out of range for batch of {emb.shape[0]}")
-    if not 0 <= n < emb.shape[1]:
-        raise IndexError(f"channel {n} out of range for {emb.shape[1]} channels")
-    return emb[b, n]

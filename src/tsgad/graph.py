@@ -38,84 +38,49 @@ def init_attention(window, rng, scale=None):
     )
 
 
-@dataclass
-class DynGraph:
-    node_features: np.ndarray  # (N, T): channel series as rows
-    adjacency: Tensor  # (N, N) row-stochastic
-    embeddings: Tensor | None = None  # (N, d), filled by the encoder
-    start: int = 0
-
-
-def attention_adjacency(node_features, params, key_index="j", dropout=0.0, rng=None):
+def attention_adjacency(node_features, params, dropout=0.0, rng=None):
     """Row-stochastic attention matrices for a stack of windows.
 
-    ``node_features`` is (B, N, T) (or (N, T) for one window). Logit (i, j)
-    is the scaled product of node i's query with node j's key; ``key_index
-    = 'i'`` instead pairs each query with its own key, which makes every
-    logit constant along j and therefore every row uniform. Dropout, when
+    ``node_features`` is (B, N, T): each window's channel series as rows
+    (an (N, T) array gives one window's (N, N) matrix). Logit (i, j) is the
+    scaled product of node i's query with node j's key. Dropout, when
     active, is applied to the logits.
     """
     feats = ad.as_tensor(node_features)
-    squeeze = feats.ndim == 2
-    if squeeze:
-        feats = ad.reshape(feats, (1,) + feats.shape)
     if feats.shape[-1] != params.window:
         raise ValueError(
             f"window length {feats.shape[-1]} does not match attention params {params.window}"
         )
     queries = ad.matmul(feats, ad.transpose(params.w_query))
     keys = ad.matmul(feats, ad.transpose(params.w_key))
-    scale = 1.0 / np.sqrt(params.window)
-    if key_index == "j":
-        logits = ad.matmul(queries, ad.transpose(keys)) * scale
-    elif key_index == "i":
-        diag = ad.sum_(queries * keys, axis=-1, keepdims=True) * scale
-        logits = diag + Tensor(np.zeros((1, 1, feats.shape[1])))
-    else:
-        raise ValueError(f"key_index must be 'i' or 'j', got {key_index!r}")
+    logits = ad.matmul(queries, ad.transpose(keys)) * (1.0 / np.sqrt(params.window))
     if dropout > 0.0:
         if rng is None:
             raise ValueError("dropout requires an rng")
         logits = ad.dropout(logits, dropout, rng)
-    adjacency = ad.softmax_rows(logits)
-    return ad.reshape(adjacency, adjacency.shape[1:]) if squeeze else adjacency
+    return ad.softmax_rows(logits)
 
 
-def build_graph(window, params, key_index="j", dropout=0.0, rng=None, start=0):
-    """One window (T, N) -> DynGraph with node features (N, T) and adjacency."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError("window must be 2-D (T, N)")
-    feats = window.T.copy()
-    adjacency = attention_adjacency(feats, params, key_index=key_index, dropout=dropout, rng=rng)
-    return DynGraph(node_features=feats, adjacency=adjacency, start=start)
+def adjacency_export(starts, adjacency, path):
+    """Write per-window adjacency entries as (window_start, i, j, a_ij) rows.
 
-
-def build_graphs(windows, starts, params, key_index="j", dropout=0.0, rng=None):
-    """Batched variant: (B, T, N) windows -> list of DynGraph sharing one tape."""
-    windows = np.asarray(windows, dtype=np.float64)
-    feats = np.swapaxes(windows, 1, 2).copy()  # (B, N, T)
-    adjacency = attention_adjacency(feats, params, key_index=key_index, dropout=dropout, rng=rng)
-    return [
-        DynGraph(node_features=feats[b], adjacency=adjacency[b], start=int(starts[b]))
-        for b in range(windows.shape[0])
-    ], adjacency
-
-
-def adjacency_export(graphs, path):
-    """Write per-window adjacency entries as (window_start, i, j, a_ij) rows."""
-    graphs = list(graphs)
-    if not graphs:
-        raise ValueError("adjacency_export needs at least one graph")
+    ``adjacency`` is (B, N, N): the matrix of the window starting at ``starts[b]``.
+    """
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    if len(starts) == 0:
+        raise ValueError("adjacency_export needs at least one window")
+    if adjacency.ndim != 3 or adjacency.shape[0] != len(starts):
+        raise ValueError(
+            f"adjacency {adjacency.shape} does not hold one matrix per window start ({len(starts)})"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_start", "i", "j", "a_ij"])
-        for g in graphs:
-            a = g.adjacency.data
-            n = a.shape[0]
+        n = adjacency.shape[1]
+        for start, a in zip(starts, adjacency):
             for i in range(n):
                 for j in range(n):
-                    writer.writerow([g.start, i, j, repr(float(a[i, j]))])
+                    writer.writerow([int(start), i, j, repr(float(a[i, j]))])
 
 
 def read_adjacency_export(path):

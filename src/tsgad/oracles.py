@@ -31,7 +31,7 @@ from .autodiff import Tensor
 from .checks import gradient_check, numeric_gradient, relative_error
 from .encoder import encode_batch, init_encoder
 from .flow import init_flow, log_prob
-from .graph import build_graph, init_attention
+from .graph import attention_adjacency, init_attention
 
 
 def equivalence_suite(seeds=100, sizes=(3, 4), inject_fault=False):
@@ -159,7 +159,7 @@ def gradient_suite(inject_fault=False):
     window = rng.normal(size=(6, 3))
     record(
         "attention",
-        gradient_check(lambda: ad.sum_(build_graph(window, att).adjacency ** 2),
+        gradient_check(lambda: ad.sum_(attention_adjacency(window.T, att) ** 2),
                        [att.w_query, att.w_key]),
         1e-4,
     )

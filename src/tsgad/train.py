@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .align import batch_alignment
-from .autodiff import Tensor
 from .dataio import normalize_with, window_table
 from .encoder import encode_batch, init_encoder
 from .errors import (CheckpointError, ConfigError, DataFormatError, DivergenceError,
@@ -53,7 +52,6 @@ class TrainConfig:
     seed: int = 0
     ablation: str = "full"
     omega_mode: str = "mean"
-    attention_key_index: str = "j"
     embedding_reduce: str = "concat"
     hidden: int = 32
     d_step: int = 8
@@ -77,14 +75,16 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be > 0")
         if self.lam < 0.0:
             raise ConfigError("lam must be >= 0")
+        if self.grad_clip < 0.0:
+            raise ConfigError(f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}")
+        if self.score_passes < 1:
+            raise ConfigError(f"score_passes must be >= 1, got {self.score_passes}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {sorted(ABLATIONS)}, got {self.ablation!r}")
         if self.omega_mode not in ("mean", "concat"):
             raise ConfigError(f"omega_mode must be 'mean' or 'concat', got {self.omega_mode!r}")
-        if self.attention_key_index not in ("i", "j"):
-            raise ConfigError("attention_key_index must be 'i' or 'j'")
         if self.embedding_reduce not in ("concat", "mean"):
             raise ConfigError("embedding_reduce must be 'concat' or 'mean'")
 
@@ -176,23 +176,31 @@ def clip_gradients(params, max_norm):
     return total
 
 
-def _forward_batch(model, windows, training, dropout_rng):
-    """Adjacency, embeddings, and mean log-likelihood for one window batch."""
+def _embed(model, windows, training, dropout_rng):
+    """Node features (B, N, T), adjacency and node embeddings of a window batch."""
     cfg = model.config
     windows = np.asarray(windows, dtype=np.float64)
     feats = np.swapaxes(windows, 1, 2).copy()  # (B, N, T)
     adjacency = attention_adjacency(
         feats,
         model.attention,
-        key_index=cfg.attention_key_index,
         dropout=cfg.dropout if training else 0.0,
         rng=dropout_rng,
     )
     embeddings = encode_batch(windows, adjacency, model.encoder_params, reduce=cfg.embedding_reduce)
-    n_batch, _, n_chan = windows.shape
-    x_rows = Tensor(feats.reshape(n_batch * n_chan, cfg.window))
-    cond_rows = ad.reshape(embeddings, (n_batch * n_chan, model.embedding_dim))
-    mean_ll = batch_log_likelihood(x_rows, cond_rows, model.flow)
+    return feats, adjacency, embeddings
+
+
+def _flow_rows(model, feats, embeddings):
+    """Flow inputs and conditions, one row per (window, channel)."""
+    rows = feats.shape[0] * feats.shape[1]
+    return feats.reshape(rows, model.config.window), ad.reshape(embeddings, (rows, model.embedding_dim))
+
+
+def _forward_batch(model, windows, training, dropout_rng):
+    """Adjacency, embeddings, and mean log-likelihood for one window batch."""
+    feats, adjacency, embeddings = _embed(model, windows, training, dropout_rng)
+    mean_ll = batch_log_likelihood(*_flow_rows(model, feats, embeddings), model.flow)
     return adjacency, embeddings, mean_ll
 
 
@@ -210,7 +218,7 @@ def train(train_ds, config):
     dropout all draw from seed-derived streams.
     """
     if train_ds.norm_mean is None:
-        raise ConfigError("train expects a normalized dataset (use load_csv/split_normalize)")
+        raise ConfigError("train expects a normalized dataset (use split_normalize or normalize_with)")
     cfg = config
     windows, starts, _ = window_table(train_ds, cfg.window, cfg.stride)
     if len(windows) < cfg.batch_size:
@@ -326,22 +334,32 @@ class ScoreReport:
     d_ga: np.ndarray
     nll: np.ndarray
     scores: np.ndarray
+    adjacency: np.ndarray  # (B, N, N), the graph each window was scored with
     threshold: float
     predicted: np.ndarray
     auc: float | None
     counts: dict = field(default_factory=dict)
 
 
+def _eval_forward(model, windows):
+    """Adjacency, embeddings and per-window mean NLL of a window batch, without a tape."""
+    feats, adjacency, embeddings = _embed(model, windows, False, None)
+    ll_rows = log_prob(*_flow_rows(model, feats, embeddings), model.flow).data
+    return adjacency.data, embeddings.data, -ll_rows.reshape(feats.shape[:2]).mean(axis=1)
+
+
 def _score_windows(model, windows):
-    """Raw per-window alignment distance and mean NLL.
+    """Raw per-window alignment distance, mean NLL and score, plus the adjacency.
 
     Windows enter alignment batches by seeded permutations, matching how
     instances are sampled during training: a batch's reference graph then
     aggregates windows from across the split instead of a contiguous run, so
     a long anomalous stretch cannot dominate its own reference. The
     alignment terms are averaged over ``score_passes`` independent batch
-    compositions to damp the sampling noise of the reference (the NLL term
-    does not depend on the batching and is computed once).
+    compositions to damp the sampling noise of the reference. Each
+    alignment batch runs its own no-grad forward; in eval mode a window's
+    adjacency and NLL do not depend on its batchmates, so every pass writes
+    the same values. A non-finite score raises FloatingPointError.
     """
     cfg = model.config
     batch_size = cfg.batch_size
@@ -352,43 +370,32 @@ def _score_windows(model, windows):
             f"scoring split yields {n_total} window; the alignment terms compare each window "
             "with the others in its batch, so at least 2 are needed"
         )
-    wd = np.zeros(n_total)
-    gwd = np.zeros(n_total)
-    nll = np.zeros(n_total)
+    adjacency, nll = np.empty((n_total,) + windows.shape[2:] * 2), np.empty(n_total)
+    wd, gwd = np.zeros(n_total), np.zeros(n_total)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
-    passes = max(1, cfg.score_passes)
     with ad.no_grad():
-        for pass_index in range(passes):
+        for _ in range(cfg.score_passes if terms else 1):
             order = rng.permutation(n_total)
-            lo = 0
-            while lo < n_total:
-                hi = min(lo + batch_size, n_total)
-                borrow = 0
-                if hi - lo == 1 and lo > 0:
-                    borrow = 1  # a lone trailing window borrows a batchmate for the reference
-                take = order[lo - borrow : hi]
-                batch = windows[take]
-                adjacency, embeddings, _ = _forward_batch(model, batch, False, None)
-                n_batch, n_chan = batch.shape[0], batch.shape[2]
+            for lo in range(0, n_total, batch_size):
+                # a lone trailing window borrows a batchmate for the reference
+                borrow = 1 if n_total - lo == 1 and lo > 0 else 0
+                take = order[lo - borrow : lo + batch_size]
                 out = take[borrow:]
-                if pass_index == 0:
-                    feats = np.swapaxes(batch, 1, 2).reshape(n_batch * n_chan, cfg.window)
-                    conds = embeddings.data.reshape(n_batch * n_chan, model.embedding_dim)
-                    ll_rows = log_prob(feats, conds, model.flow).data.reshape(n_batch, n_chan)
-                    nll[out] = -ll_rows[borrow:].mean(axis=1)
+                adj, emb, batch_nll = _eval_forward(model, windows[take])
+                adjacency[out], nll[out] = adj[borrow:], batch_nll[borrow:]
                 if terms:
                     align = batch_alignment(
-                        embeddings, adjacency,
-                        lam=cfg.lam, beta=cfg.beta, terms=terms, omega_mode=cfg.omega_mode,
+                        emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms, omega_mode=cfg.omega_mode,
                     )
-                    wd[out] += align.wd[borrow:] / passes
-                    gwd[out] += align.gwd[borrow:] / passes
-                lo = hi
-            if not terms:
-                break
+                    wd[out] += align.wd[borrow:] / cfg.score_passes
+                    gwd[out] += align.gwd[borrow:] / cfg.score_passes
     scale = cfg.lam if cfg.score_lambda_scaled else 1.0
     d_ga = scale * (wd + gwd)
-    return {"d_ga": d_ga, "wd": wd, "gwd": gwd, "nll": nll, "score": d_ga + nll}
+    scores = d_ga + nll
+    bad = int((~np.isfinite(scores)).sum())
+    if bad:
+        raise FloatingPointError(f"{bad} of {n_total} windows scored non-finite")
+    return {"d_ga": d_ga, "wd": wd, "gwd": gwd, "nll": nll, "score": scores, "adjacency": adjacency}
 
 
 def score(ds, checkpoint):
@@ -431,6 +438,7 @@ def score(ds, checkpoint):
         d_ga=parts["d_ga"],
         nll=parts["nll"],
         scores=scores,
+        adjacency=parts["adjacency"],
         threshold=threshold,
         predicted=predicted,
         auc=auc,
@@ -456,9 +464,6 @@ def _decode_array(blob):
     return arr.reshape(blob["shape"]).copy()
 
 
-decode_array = _decode_array  # public name for checkpoint consumers
-
-
 def save_checkpoint(checkpoint, path):
     body = json.dumps(checkpoint, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
@@ -481,6 +486,16 @@ def load_checkpoint(path):
     missing = required - set(data)
     if missing:
         raise CheckpointError(f"{path}: checkpoint missing sections {sorted(missing)}")
+    if not isinstance(data["config"], dict):
+        raise CheckpointError(f"{path}: checkpoint config is not a JSON object")
+    # older checkpoints record which key each query meets; only key j (logit
+    # i, j pairs query i with key j) remains, the other value made every
+    # adjacency row uniform by construction
+    legacy = data["config"].pop("attention_key_index", "j")
+    if legacy != "j":
+        raise CheckpointError(
+            f"{path}: config field attention_key_index = {legacy!r} is no longer supported (only 'j')"
+        )
     return data
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from tsgad import autodiff as ad
 from tsgad.align import (
-    AlignProblem,
     _entropic_gwd,
     _sinkhorn,
     alignment_equivalence_check,
@@ -13,7 +12,6 @@ from tsgad.align import (
     enumerate_alignment_values,
     exact_gwd_uniform,
     exact_wd_uniform,
-    ga_distance,
     gwd_cost,
     gwd_cost_naive,
     gwd_cost_term,
@@ -190,36 +188,6 @@ def test_entropic_gwd_relabeling_invariance():
     sigma = rng.permutation(4)
     conj = entropic_gwd(a_s, a_t[np.ix_(sigma, sigma)], u, u, 0.01, **kwargs)
     assert base.objective == pytest.approx(conj.objective, abs=1e-6)
-
-
-def test_ga_distance_composition_and_ablation():
-    rng = np.random.default_rng(4)
-    prob = AlignProblem(
-        source_embeddings=rng.random((4, 3)),
-        source_adjacency=rng.random((4, 4)),
-        target_embeddings=rng.random((4, 3)),
-        target_adjacency=rng.random((4, 4)),
-        lam=0.1,
-        beta=0.02,
-    )
-    res = ga_distance(prob, sink_iter=2000, sink_tol=1e-9, gw_outer=50, gw_tol=1e-10)
-    assert res.value == pytest.approx(0.1 * (res.wd.objective + res.gwd.objective), abs=1e-12)
-    u = uniform_weights(4)
-    wd_alone = sinkhorn_wd(cost_matrix(prob.source_embeddings, prob.target_embeddings),
-                           u, u, 0.02, max_iter=2000, tol=1e-9)
-    assert res.wd.objective == pytest.approx(wd_alone.objective, abs=1e-10)
-    zero = AlignProblem(prob.source_embeddings, prob.source_adjacency,
-                        prob.target_embeddings, prob.target_adjacency, lam=0.0, beta=0.02)
-    assert ga_distance(zero).value == 0.0
-
-
-def test_ga_distance_identical_graphs_near_zero():
-    rng = np.random.default_rng(6)
-    emb = rng.random((4, 3)) * 2.0
-    adj = rng.random((4, 4))
-    prob = AlignProblem(emb, adj, emb.copy(), adj.copy(), lam=0.1, beta=0.01)
-    res = ga_distance(prob, sink_iter=3000, sink_tol=1e-10, gw_outer=100, gw_tol=1e-10)
-    assert res.value < 1e-6
 
 
 def test_transport_plan_marginals_feasible():

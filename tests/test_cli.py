@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -97,6 +98,30 @@ def test_train_missing_data_file_exit_2(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+def test_config_file_malformed_value_exit_1(tmp_path, capsys):
+    data = _synth(tmp_path)
+    for line in ("epochs = ten", "score_lambda_scaled = maybe"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"window = 20\n{line}\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--seed", "3", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: {line.split()[0]}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_manifest_malformed_exit_1(tmp_path, capsys):
+    manifest = tmp_path / "run.manifest.json"
+    for text, problem in (("{not json", "not a JSON manifest"), ("[1, 2]", "JSON object"),
+                          ('{"argv": ["synth", 5]}', "list of strings")):
+        manifest.write_text(text)
+        assert main(["--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and problem in err
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     data = _synth(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -164,6 +189,9 @@ def test_score_works_unlabeled_and_exports_graphs(tmp_path):
     assert all(m.shape == (4, 4) for m in exported.values())
     rows = np.stack(list(exported.values()))
     np.testing.assert_allclose(rows.sum(axis=2), 1.0, atol=1e-8)
+    scored = (tmp_path / "s.scores.csv").read_text().splitlines()[1:]
+    # one graph per scored window, at the window's absolute row
+    assert sorted(exported) == [int(line.split(",")[0]) for line in scored]
 
 
 def test_score_byte_determinism(tmp_path):
@@ -235,6 +263,54 @@ def test_score_single_window_exit_2(tmp_path, capsys):
     assert code == 2
     assert "yields 1 window" in capsys.readouterr().err
     assert not (tmp_path / "s.scores.csv").exists()
+
+
+def _edit_checkpoint(src, dst, edit):
+    checkpoint = json.loads(src.read_text())
+    edit(checkpoint)
+    dst.write_text(json.dumps(checkpoint))
+    return dst
+
+
+def test_legacy_checkpoint_key_index(tmp_path, capsys):
+    # checkpoints written before the attention key index was fixed carry it in their config
+    data = _synth(tmp_path)
+    ckpt = _train(tmp_path, data)
+
+    def evaluate(checkpoint, prefix):
+        return main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                     "--out-prefix", str(tmp_path / prefix)])
+
+    def with_key_index(value):
+        return _edit_checkpoint(ckpt, tmp_path / f"{value}.ckpt.json",
+                                lambda c: c["config"].update(attention_key_index=value))
+
+    assert evaluate(ckpt, "new") == 0
+    assert evaluate(with_key_index("j"), "j") == 0
+    assert (tmp_path / "j.scores.csv").read_bytes() == (tmp_path / "new.scores.csv").read_bytes()
+    capsys.readouterr()
+    assert evaluate(with_key_index("i"), "i") == 2
+    assert "attention_key_index" in capsys.readouterr().err
+    assert not (tmp_path / "i.scores.csv").exists()
+
+
+def test_non_finite_score_exit_3(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ckpt = _train(tmp_path, data)
+
+    def overflow_shift(checkpoint):
+        blob = checkpoint["parameters"]["flow.1.b_shift"]
+        values = np.full(blob["shape"], 1e300, dtype="<f8")
+        blob["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+    broken = _edit_checkpoint(ckpt, tmp_path / "broken.ckpt.json", overflow_shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["eval", "--data", str(data), "--checkpoint", str(broken),
+                     "--out-prefix", str(tmp_path / "e")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "e.scores.csv").exists()
+    assert not (tmp_path / "e.summary.json").exists()
 
 
 def test_usage_error_exit_1():

@@ -4,8 +4,6 @@ import pytest
 from tsgad.dataio import (
     AnomalyInterval,
     SeriesDataset,
-    load_csv,
-    make_windows,
     num_windows,
     read_series,
     split_normalize,
@@ -24,7 +22,7 @@ def _write(tmp_path, text, name="data.csv"):
 
 def test_load_csv_split_rows(tmp_path):
     lines = ["a,b,label"] + [f"{i},{i * 2},0" for i in range(100)]
-    train, test = load_csv(_write(tmp_path, "\n".join(lines)), split_fraction=0.6)
+    train, test = split_normalize(read_series(_write(tmp_path, "\n".join(lines))), 0.6)
     assert train.length == 60
     assert test.length == 40
 
@@ -34,7 +32,7 @@ def test_load_csv_normalization_train_only(tmp_path):
     rows = rng.normal(5.0, 2.0, size=(200, 3))
     rows[120:] += 10.0  # test segment distribution differs
     lines = ["x,y,z"] + [",".join(repr(float(v)) for v in r) for r in rows]
-    train, test = load_csv(_write(tmp_path, "\n".join(lines)), split_fraction=0.6)
+    train, test = split_normalize(read_series(_write(tmp_path, "\n".join(lines))), 0.6)
     np.testing.assert_allclose(train.values.mean(axis=0), 0.0, atol=1e-6)
     np.testing.assert_allclose(train.values.std(axis=0), 1.0, atol=1e-6)
     # no leakage: the test split keeps its offset under train statistics
@@ -44,7 +42,7 @@ def test_load_csv_normalization_train_only(tmp_path):
 def test_constant_channel_clamped_with_warning(tmp_path):
     lines = ["a,b"] + ["2,%d" % i for i in range(10)]
     with pytest.warns(UserWarning, match="clamped"):
-        train, _ = load_csv(_write(tmp_path, "\n".join(lines)), split_fraction=1.0)
+        train, _ = split_normalize(read_series(_write(tmp_path, "\n".join(lines))), 1.0)
     np.testing.assert_allclose(train.values[:, 0], 0.0, atol=1e-15)
 
 
@@ -101,14 +99,6 @@ def test_windows_match_source_slices():
     windows, starts, _ = window_table(ds, 30, 7)
     for w, s in zip(windows, starts):
         np.testing.assert_array_equal(w, ds.values[s : s + 30])
-
-
-def test_make_windows_partial_batch_policy():
-    ds = SeriesDataset(["a", "b"], np.zeros((100, 2)), np.zeros(100))
-    kept = list(make_windows(ds, 60, 10, batch_size=3, keep_partial=True))
-    assert [len(b.window_starts) for b in kept] == [3, 2]
-    dropped = list(make_windows(ds, 60, 10, batch_size=3, keep_partial=False))
-    assert [len(b.window_starts) for b in dropped] == [3]
 
 
 def test_synth_no_anomalies_all_zero_labels():

@@ -4,8 +4,8 @@ import pytest
 from tsgad import autodiff as ad
 from tsgad.autodiff import Tensor
 from tsgad.checks import gradient_check
-from tsgad.encoder import condition_vector, encode, encode_batch, init_encoder
-from tsgad.graph import build_graph, init_attention
+from tsgad.encoder import encode_batch, init_encoder
+from tsgad.graph import attention_adjacency, init_attention
 
 
 def _encoder(h=4, d_step=2, seed=0):
@@ -75,13 +75,14 @@ def test_permutation_equivariance_with_rebuilt_adjacency():
     rng = np.random.default_rng(9)
     att = init_attention(10, np.random.default_rng(10))
     enc = _encoder(h=4, d_step=2, seed=11)
-    window = rng.normal(size=(10, 5))
+    windows = rng.normal(size=(1, 10, 5))
     sigma = rng.permutation(5)
-    g = build_graph(window, att)
-    emb = encode(g, enc).data
-    g_perm = build_graph(window[:, sigma], att)
-    emb_perm = encode(g_perm, enc).data
-    np.testing.assert_allclose(emb_perm, emb[sigma], atol=1e-10)
+    permuted = windows[:, :, sigma]
+    emb = encode_batch(windows, attention_adjacency(np.swapaxes(windows, 1, 2), att), enc).data
+    emb_perm = encode_batch(
+        permuted, attention_adjacency(np.swapaxes(permuted, 1, 2), att), enc
+    ).data
+    np.testing.assert_allclose(emb_perm[0], emb[0, sigma], atol=1e-10)
 
 
 def test_determinism():
@@ -104,30 +105,10 @@ def test_embedding_shapes_concat_and_mean():
         encode_batch(windows, adjacency, params, reduce="max")
 
 
-def test_condition_vector_contracts():
-    params = _encoder(h=3, d_step=2, seed=16)
-    rng = np.random.default_rng(17)
-    windows = rng.normal(size=(2, 5, 3))
-    adjacency = Tensor(np.full((2, 3, 3), 1.0 / 3.0))
-    emb = encode_batch(windows, adjacency, params)
-    d = emb.shape[2]
-    for b in range(2):
-        for n in range(3):
-            c = condition_vector(emb, b, n)
-            assert c.shape == (d,)
-            np.testing.assert_array_equal(c.data, emb.data[b, n])
-    with pytest.raises(IndexError):
-        condition_vector(emb, 2, 0)
-    with pytest.raises(IndexError):
-        condition_vector(emb, 0, 3)
-
-
 def test_condition_identical_windows_identical():
     params = _encoder(seed=18)
     w = np.random.default_rng(19).normal(size=(5, 3))
     windows = np.stack([w, w.copy()])
     adjacency = Tensor(np.full((2, 3, 3), 1.0 / 3.0))
-    emb = encode_batch(windows, adjacency, params)
-    np.testing.assert_array_equal(
-        condition_vector(emb, 0, 1).data, condition_vector(emb, 1, 1).data
-    )
+    emb = encode_batch(windows, adjacency, params).data
+    np.testing.assert_array_equal(emb[0], emb[1])

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -84,6 +85,10 @@ def test_config_validation():
         TrainConfig(ablation="none")
     with pytest.raises(ConfigError, match="dropout"):
         TrainConfig(dropout=1.0)
+    with pytest.raises(ConfigError, match="score_passes"):
+        TrainConfig(score_passes=0)
+    with pytest.raises(ConfigError, match="grad_clip"):
+        TrainConfig(grad_clip=-1.0)
     with pytest.raises(ConfigError, match="unknown config fields"):
         TrainConfig.from_dict({"window": 20, "bogus": 1})
 
@@ -200,6 +205,32 @@ def test_score_affine_in_components():
     np.testing.assert_array_equal(report.predicted, (report.scores > report.threshold).astype(int))
     counts = report.counts
     assert counts["tp"] + counts["fp"] + counts["tn"] + counts["fn"] == len(report.scores)
+
+
+def test_score_forward_is_whole_and_batch_independent(monkeypatch):
+    train_ds, test_ds = _tiny_training_pair(anomalies=[("spike", 300, 330)])
+    result = train(train_ds, TrainConfig(**DESK))
+    model = model_from_checkpoint(result.checkpoint)
+    windows, _, _ = window_table(test_ds, model.config.window, model.config.stride)
+    with ad.no_grad():
+        whole_batch, _, _ = _forward_batch(model, windows, False, None)
+
+    # rows handed to each stage of the model while scoring
+    seen = {}
+    train_module = importlib.import_module("tsgad.train")
+    for name in ("attention_adjacency", "encode_batch", "log_prob", "batch_log_likelihood"):
+        def counted(*args, _name=name, _fn=getattr(train_module, name), **kwargs):
+            seen[_name] = seen.get(_name, 0) + ad.as_tensor(args[0]).shape[0]
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, name, counted)
+    report = score(test_ds, result.checkpoint)
+    # every batch forward runs each stage once; no flow mean is computed and dropped
+    assert "batch_log_likelihood" not in seen
+    assert seen["encode_batch"] == seen["attention_adjacency"] >= len(windows)
+    assert seen["log_prob"] == seen["attention_adjacency"] * test_ds.n_channels
+    # the scored graphs are the ones a single batch of every window gives
+    np.testing.assert_array_equal(report.adjacency, whole_batch.data)
 
 
 def test_score_channel_mismatch_rejected():
