@@ -12,6 +12,10 @@ advanced in lockstep (one numpy call per update for the whole stack):
 ``sinkhorn_wd``, ``entropic_gwd`` and ``gwd_cost`` validate their inputs and
 call the core with K = 1, and ``batch_alignment`` solves its windows as one
 stack while the stacked problem is small, and as stacks of one otherwise.
+The GW pseudo-cost's plan-independent parts are built once per solve and
+reused by every outer step: the dense difference tensor for small problems,
+and for large ones the sort and search tables of the factorized prefix-sum
+kernel, which then handles all target rows of a chunk in a few numpy calls.
 
 Brute-force enumeration oracles (permutation couplings) live alongside the
 solvers so every solver result can be cross-checked on small instances, and
@@ -188,53 +192,88 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None):
 _DENSE_QUARTET_LIMIT = 250_000  # entries of one (n, m, n, m) difference tensor
 
 
-def _factorized_pseudo_cost(a_s, a_t, plan):
+def _factorized_tables(a_s, a_t):
+    """Plan-independent tables of the factorized pseudo-cost of ``a_s`` (n, n) vs ``a_t`` (m, m).
+
+    Holds the stable sort order and sorted values of each target row and,
+    for every target row j and source entry ``a_s[i, i']``, its
+    ``searchsorted(..., side="right")`` position in row j, kept as flat
+    indices into the (n, j_chunk, m + 1) prefix tables of j's chunk. Target
+    rows are taken in chunks so that each prefix table holds at most
+    ``_DENSE_QUARTET_LIMIT`` entries.
+    """
+    n, m = a_s.shape[0], a_t.shape[0]
+    order = np.argsort(a_t, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(a_t, order, axis=1)
+    by_value = np.argsort(a_s, axis=None, kind="stable")  # the n^2 source entries, ascending
+    sorted_queries = a_s.ravel()[by_value]
+    width = max(1, _DENSE_QUARTET_LIMIT // (n * (m + 1)))
+    chunks = []
+    for lo in range(0, m, width):
+        rows = slice(lo, min(lo + width, m))
+        cols = rows.stop - lo
+        # One search for all rows of the chunk: entry v of row j is <= the k-th smallest
+        # query iff k >= rank(v), the number of queries below v, so the row's count of
+        # entries <= that query (searchsorted side="right") is a prefix sum over ranks.
+        ranks = np.searchsorted(sorted_queries, sorted_vals[rows], side="left")
+        at_rank = np.bincount((ranks + np.arange(cols)[:, None] * (n * n + 1)).ravel(),
+                              minlength=cols * (n * n + 1)).reshape(cols, n * n + 1)
+        pos = np.empty((cols, n * n), dtype=np.intp)
+        pos[:, by_value] = np.cumsum(at_rank, axis=1)[:, : n * n]
+        # flat index of cum[i', j, pos[j, i, i']] in a C-ordered (n, cols, m + 1) table
+        flat = (np.arange(n) * (cols * (m + 1)) + np.arange(cols)[:, None, None] * (m + 1)
+                + pos.reshape(cols, n, n))
+        chunks.append((rows, flat))
+    return a_s, order, sorted_vals, chunks
+
+
+def _factorized_pseudo_cost(tables, plan):
     """``G[i, j] = sum_{i',j'} plan[i',j'] |A_s[i,i'] - A_t[j,j']|`` from prefix sums.
 
-    Sorts each target row once and reads weighted L1 distances off prefix
-    sums: O(n m (n + m) log) instead of the quadruple loop's O(n^2 m^2).
+    Reads weighted L1 distances off prefix sums over each target row in
+    sorted order, for a chunk of target rows at a time: O(n m (n + m)) per
+    plan once ``_factorized_tables`` has sorted the rows, instead of the
+    quadruple loop's O(n^2 m^2).
     """
+    a_s, order, sorted_vals, chunks = tables
     n, m = plan.shape
     pseudo = np.empty((n, m))
-    queries = a_s  # queries[i, i'] is matched against row i' of the prefix tables
-    row_of_query = np.broadcast_to(np.arange(n), (n, n))
     total_w = plan.sum(axis=1)
-    for j in range(m):
-        order = np.argsort(a_t[j], kind="stable")
-        sorted_vals = a_t[j][order]
-        weights = plan[:, order]
-        cum_w = np.zeros((n, m + 1))
-        cum_w[:, 1:] = np.cumsum(weights, axis=1)
-        cum_v = np.zeros((n, m + 1))
-        cum_v[:, 1:] = np.cumsum(weights * sorted_vals[None, :], axis=1)
-        total_v = cum_v[:, -1]
-        pos = np.searchsorted(sorted_vals, queries.ravel(), side="right").reshape(n, n)
-        below_w = cum_w[row_of_query, pos]
-        below_v = cum_v[row_of_query, pos]
-        per_pair = queries * (2.0 * below_w - total_w[row_of_query]) + total_v[row_of_query] - 2.0 * below_v
-        pseudo[:, j] = per_pair.sum(axis=1)
+    for rows, flat in chunks:
+        weights = plan[:, order[rows]]  # (n, cols, m): weights[i', j, b] = plan[i', order[j, b]]
+        cum_w = np.zeros(weights.shape[:2] + (m + 1,))
+        cum_w[..., 1:] = np.cumsum(weights, axis=-1)
+        cum_v = np.zeros_like(cum_w)
+        cum_v[..., 1:] = np.cumsum(weights * sorted_vals[rows], axis=-1)
+        total_v = cum_v[..., -1].T[:, None, :]  # total_v[j, 0, i']
+        below_w = cum_w.take(flat)  # (cols, n, n): below_w[j, i, i']
+        below_v = cum_v.take(flat)
+        per_pair = a_s * (2.0 * below_w - total_w) + total_v - 2.0 * below_v
+        pseudo[:, rows] = per_pair.sum(axis=-1).T
     return pseudo
+
+
+def _factorized_map(adj_s, adj_t):
+    """Stacked factorized pseudo-cost map, its tables built once here."""
+    tables = [_factorized_tables(s, t) for s, t in zip(adj_s, adj_t)]
+    return lambda plans: np.stack([_factorized_pseudo_cost(tab, p) for tab, p in zip(tables, plans)])
 
 
 def _quartet_pseudo_costs(adj_s, adj_t, dense):
     """Pseudo-cost maps for stacks of adjacencies (K, n, n) and (K, m, m).
 
     Returns ``forward(plans)[k, i, j] = sum_ab plans[k, a, b] |A_s[k, i, a] - A_t[k, j, b]|``
-    and ``backward``, the same for the transposed adjacencies. The dense maps
-    contract the plan-independent difference tensor, built once here so that
-    every outer GW step reuses it; the factorized maps use prefix sums.
+    and ``backward``, the same for the transposed adjacencies. Everything
+    that does not depend on the plans is built once here, so that every
+    outer GW step reuses it: the dense maps contract the difference tensor,
+    the factorized maps read prefix sums through the sort and search tables.
     """
     if dense:
         diff = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
         return (lambda plans: np.einsum("kab,kijab->kij", plans, diff, optimize=True),
                 lambda plans: np.einsum("kab,kabij->kij", plans, diff, optimize=True))
-
-    def factorized(a_s, a_t):
-        return lambda plans: np.stack(
-            [_factorized_pseudo_cost(s, t, p) for s, t, p in zip(a_s, a_t, plans)]
-        )
-
-    return factorized(adj_s, adj_t), factorized(adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1))
+    return (_factorized_map(adj_s, adj_t),
+            _factorized_map(adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1)))
 
 
 def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, obj_tol=1e-9):
@@ -306,11 +345,13 @@ def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
 
     With loss ``|A_s[i,i'] - A_t[j,j']|`` the pseudo-cost is
     ``G[i,j] = sum_{i',j'} plan[i',j'] * |A_s[i,i'] - A_t[j,j']|`` and the
-    objective is ``<plan, G>``. The ``factorized`` method sorts each target
-    row once and reads weighted L1 distances off prefix sums, avoiding the
+    objective is ``<plan, G>``. The ``factorized`` method builds its tables
+    once per call (each target row sorted, each source entry's position in
+    it) and reads weighted L1 distances off prefix sums, avoiding the
     quadruple loop (O(n m (n + m) log) instead of O(n^2 m^2)); ``dense``
     contracts the full difference tensor, which is faster below
-    ~250k entries, and ``auto`` picks by size.
+    ~250k entries, and ``auto`` picks by size. Inside the GW solver the same
+    tables are built once per solve and shared by all its outer steps.
     """
     a_s = _square(source_adjacency, "source")
     a_t = _square(target_adjacency, "target")
@@ -320,8 +361,10 @@ def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
         raise ValueError(f"plan shape {plan.shape} does not match ({n}, {m})")
     if method not in ("auto", "dense", "factorized"):
         raise ValueError(f"unknown method {method!r}")
-    dense = method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT)
-    forward, _ = _quartet_pseudo_costs(a_s[None], a_t[None], dense)
+    if method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT):
+        forward, _ = _quartet_pseudo_costs(a_s[None], a_t[None], dense=True)
+    else:
+        forward = _factorized_map(a_s[None], a_t[None])
     pseudo = forward(plan[None])
     return float(np.einsum("kij,kij->k", plan[None], pseudo)[0]), pseudo[0]
 

@@ -307,11 +307,8 @@ def relu(a):
 def sigmoid(a):
     a = as_tensor(a)
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0.0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # never overflows: exp(-x) for x >= 0, exp(x) below
+    out_data = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     if not _tracking(a):
         return Tensor._make(out_data, (), None)
 
@@ -422,15 +419,25 @@ def reshape(a, shape):
 
 
 def take(a, key):
-    """Basic indexing/slicing; backward scatter-adds into the source shape."""
+    """Basic indexing/slicing; backward adds into the selected part of the source shape.
+
+    Only basic keys (integers, slices, ``None`` and ``...``) are accepted: they
+    select each source element at most once, so a plain slice-add is exact. An
+    integer-array or boolean key raises TypeError, since a repeated index
+    would otherwise drop a gradient.
+    """
     a = as_tensor(a)
+    for part in key if isinstance(key, tuple) else (key,):
+        basic = part is None or part is Ellipsis or isinstance(part, (slice, int, np.integer))
+        if not basic or isinstance(part, (bool, np.bool_)):
+            raise TypeError(f"take supports basic indexing only, got a {type(part).__name__} key")
     out_data = np.array(a.data[key], dtype=np.float64)
     if not _tracking(a):
         return Tensor._make(out_data, (), None)
 
     def backward(grad):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, grad)
+        buf[key] += grad
         a._accumulate(buf)
 
     return Tensor._make(out_data, (a,), backward)

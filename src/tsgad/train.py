@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class TrainConfig:
     split_fraction: float = 0.6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("window", "stride", "batch_size", "epochs", "hidden", "d_step", "flow_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from tsgad import align
 from tsgad import autodiff as ad
 from tsgad.align import (
     _entropic_gwd,
+    _quartet_pseudo_costs,
     _sinkhorn,
     alignment_equivalence_check,
     batch_alignment,
@@ -117,16 +119,61 @@ def test_sinkhorn_symmetry_and_identity():
 
 def test_gwd_factorized_equals_naive():
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(15):
         n, m = rng.integers(2, 5, size=2)
-        a_s = rng.random((int(n), int(n)))
-        a_t = rng.random((int(m), int(m)))
-        plan = rng.random((int(n), int(m)))
+        cases.append((rng.random((int(n), int(n))), rng.random((int(m), int(m)))))
+    # rectangular, with n < m and n > m, and tied values (three distinct levels)
+    for n, m in ((3, 7), (7, 3), (6, 6)):
+        a_s, a_t = rng.random((n, n)), rng.random((m, m))
+        cases += [(a_s, a_t), (np.round(a_s * 2.0) / 2.0, np.round(a_t * 2.0) / 2.0)]
+    cases += [(a_s.T, a_t.T) for a_s, a_t in cases[-6:]]  # non-contiguous views
+    for a_s, a_t in cases:
+        plan = rng.random((a_s.shape[0], a_t.shape[0]))
         plan /= plan.sum()
-        obj_f, pseudo_f = gwd_cost(a_s, a_t, plan)
         obj_n, pseudo_n = gwd_cost_naive(a_s, a_t, plan)
-        assert abs(obj_f - obj_n) < 1e-10
-        np.testing.assert_allclose(pseudo_f, pseudo_n, atol=1e-10)
+        for method in ("auto", "factorized"):
+            obj_f, pseudo_f = gwd_cost(a_s, a_t, plan, method=method)
+            assert abs(obj_f - obj_n) < 1e-10
+            np.testing.assert_allclose(pseudo_f, pseudo_n, atol=1e-10)
+
+
+def test_gwd_factorized_chunks_match_one_chunk(monkeypatch):
+    rng = np.random.default_rng(4)
+    n, m = 6, 11
+    a_s, a_t = rng.random((n, n)), rng.random((m, m))
+    plan = rng.random((n, m))
+    plan /= plan.sum()
+    whole = gwd_cost(a_s, a_t, plan, method="factorized")
+    # 3 target rows per chunk: four chunks, the last one ragged
+    monkeypatch.setattr(align, "_DENSE_QUARTET_LIMIT", 3 * n * (m + 1))
+    assert [c.stop - c.start for c, _ in align._factorized_tables(a_s, a_t)[3]] == [3, 3, 3, 2]
+    chunked = gwd_cost(a_s, a_t, plan, method="factorized")
+    assert chunked[0] == whole[0]
+    np.testing.assert_array_equal(chunked[1], whole[1])
+
+
+def test_entropic_gwd_factorized_stack_equals_single_solves():
+    # N = 23 is the smallest square size whose n^2 m^2 exceeds the dense limit
+    rng = np.random.default_rng(6)
+    n = 23
+    a_s, a_t = rng.random((3, n, n)), rng.random((3, n, n))
+    u = uniform_weights(n)
+    plans = rng.random((3, n, n))
+    forward, backward = _quartet_pseudo_costs(a_s, a_t, dense=False)
+    for k in range(3):
+        fwd_k, bwd_k = _quartet_pseudo_costs(a_s[k : k + 1], a_t[k : k + 1], dense=False)
+        np.testing.assert_array_equal(forward(plans)[k], fwd_k(plans[k : k + 1])[0])
+        np.testing.assert_array_equal(backward(plans)[k], bwd_k(plans[k : k + 1])[0])
+    # with both stopping rules off (tol = 0, fewer than 3 outer steps, fixed Sinkhorn
+    # iterations) every problem takes the same steps alone as in the stack
+    args = (u, u, 0.05, 2, 0.0, 30, 0.0)
+    stack = _entropic_gwd(a_s, a_t, *args)
+    for k in range(3):
+        single = _entropic_gwd(a_s[k : k + 1], a_t[k : k + 1], *args)
+        np.testing.assert_array_equal(stack.plans[k], single.plans[0])
+        assert stack.objectives[k] == single.objectives[0]
+        assert stack.errors[k] == single.errors[0]
 
 
 def test_gwd_cost_zero_for_identical_identity_plan():

@@ -48,6 +48,35 @@ def test_sigmoid_symmetry():
     assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
+def test_sigmoid_matches_masked_reference_bitwise():
+    x = np.concatenate([np.random.default_rng(2).normal(size=200) * 40.0,
+                        [0.0, -0.0, 800.0, -800.0, 710.0, -745.0, 5e-324, -5e-324]])
+    ref = np.empty_like(x)
+    pos = x >= 0.0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ref[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, ref)
+    assert ad.sigmoid(Tensor([-0.0])).data[0] == 0.5
+    assert ad.sigmoid(Tensor([800.0])).data[0] == 1.0
+    assert ad.sigmoid(Tensor([-800.0])).data[0] == 0.0
+
+
+def test_take_backward_adds_into_selected_part():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    ad.backward(ad.sum_(ad.take(x, (slice(None, None, -1), slice(1, 4, 2))) * 2.0))
+    expected = np.zeros((3, 4))
+    expected[:, 1:4:2] = 2.0
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("key", [np.array([0, 0]), [0, 2], np.array([True, False, True]),
+                                 (slice(None), np.array([1, 1])), True])
+def test_take_rejects_advanced_keys(key):
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    with pytest.raises(TypeError, match="basic indexing"):
+        ad.take(x, key)
+
+
 def test_softmax_constant_row_uniform():
     out = ad.softmax_rows(Tensor([[3.0, 3.0, 3.0, 3.0]]))
     np.testing.assert_allclose(out.data, np.full((1, 4), 0.25), atol=1e-15)

@@ -112,6 +112,20 @@ def test_config_file_malformed_value_exit_1(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_config_file_non_finite_value_exit_1(tmp_path, capsys):
+    data = _synth(tmp_path)
+    for line in ("learning_rate = nan", "beta = inf"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"window = 20\n{line}\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--seed", "3", "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{line.split()[0]} must be a finite number" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_manifest_malformed_exit_1(tmp_path, capsys):
     manifest = tmp_path / "run.manifest.json"
     for text, problem in (("{not json", "not a JSON manifest"), ("[1, 2]", "JSON object"),

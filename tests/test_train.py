@@ -89,6 +89,11 @@ def test_config_validation():
         TrainConfig(score_passes=0)
     with pytest.raises(ConfigError, match="grad_clip"):
         TrainConfig(grad_clip=-1.0)
+    for name, bad in (("learning_rate", float("nan")), ("lam", float("nan")),
+                      ("beta", float("inf")), ("grad_clip", float("nan")),
+                      ("split_fraction", float("-inf")), ("dropout", "0.1")):
+        with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+            TrainConfig(**{name: bad})
     with pytest.raises(ConfigError, match="unknown config fields"):
         TrainConfig.from_dict({"window": 20, "bogus": 1})
 
