@@ -516,14 +516,14 @@ def wd_cost_term(source_embeddings, target_embeddings, plan):
     xs = as_tensor(source_embeddings)
     xt = as_tensor(target_embeddings)
     plan = np.asarray(plan, dtype=np.float64)
-    diff = xs.data[:, None, :] - xt.data[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = cost_matrix(xs.data, xt.data)
     out = np.asarray((plan * dist).sum())
 
     def backward(grad):
         go = float(grad)
         scale = np.where(dist > 1e-12, plan / np.maximum(dist, 1e-12), 0.0)
-        pulls = scale[:, :, None] * diff
+        # the (n, m, d) differences are rebuilt here, not held from the forward
+        pulls = scale[:, :, None] * (xs.data[:, None, :] - xt.data[None, :, :])
         if xs.requires_grad:
             xs._accumulate(go * pulls.sum(axis=1))
         if xt.requires_grad:

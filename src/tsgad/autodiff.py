@@ -304,11 +304,15 @@ def relu(a):
     return Tensor._make(out_data, (a,), backward)
 
 
+def sigmoid_array(x):
+    """The logistic function of a numpy array; the one kernel every sigmoid here uses."""
+    e = np.exp(-np.abs(x))  # never overflows: exp(-x) for x >= 0, exp(x) below
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    x = a.data
-    e = np.exp(-np.abs(x))  # never overflows: exp(-x) for x >= 0, exp(x) below
-    out_data = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_data = sigmoid_array(a.data)
     if not _tracking(a):
         return Tensor._make(out_data, (), None)
 
@@ -436,9 +440,9 @@ def take(a, key):
         return Tensor._make(out_data, (), None)
 
     def backward(grad):
-        buf = np.zeros_like(a.data)
-        buf[key] += grad
-        a._accumulate(buf)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += grad
 
     return Tensor._make(out_data, (a,), backward)
 

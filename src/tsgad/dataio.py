@@ -67,7 +67,11 @@ def read_series(path, label_column="label"):
     ``label_column`` supplies per-step labels, otherwise all steps are
     treated as normal.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except IsADirectoryError:
+        raise DataFormatError(f"{path}: is a directory, not a CSV file") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

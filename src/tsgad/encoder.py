@@ -7,6 +7,22 @@ per-step outputs are concatenated (or averaged) over time into the node
 embeddings that condition the flow. The adjacency enters the computation
 directly, so embeddings are a differentiable function of window contents,
 attention parameters, and encoder weights.
+
+With the tape on, ``encode_batch`` is a single tape node (Hochreiter &
+Schmidhuber 1997 for the cell, Werbos 1990 for backpropagation through
+time). Its forward is plain numpy and saves, per step, only the four gates
+and the cell state c, five (B*N, h) arrays; the backward recomputes tanh(c),
+h, A @ H and the readout's ReLU input from them with the forward's own
+expressions. The backward sums in the order a tape of one node per op would,
+so gradients are bit-identical to that composition:
+
+- the readout backward runs first, for t = 0 .. T-1, one step at a time (a
+  reverse-order or a stacked readout reorders the sums into w_mix,
+  w_history, w_project and the adjacency);
+- each step's adjacency gradient is added into the adjacency node as it is
+  made, because alignment also feeds that node and summing the steps first
+  would reorder its total;
+- then the recurrence backward runs for t = T-1 .. 0.
 """
 
 from __future__ import annotations
@@ -62,18 +78,6 @@ def init_encoder(hidden, d_step, rng, out_scale=1.0):
     )
 
 
-def _cell_step(x_col, h_prev, c_prev, params):
-    """One gated-cell step for all rows at once; rows are (batch*channel)."""
-    h = params.hidden
-    pre = ad.matmul(x_col, params.w_input) + ad.matmul(h_prev, params.w_hidden) + params.bias
-    gate_in = ad.sigmoid(pre[:, 0:h])
-    gate_forget = ad.sigmoid(pre[:, h : 2 * h])
-    candidate = ad.tanh(pre[:, 2 * h : 3 * h])
-    gate_out = ad.sigmoid(pre[:, 3 * h : 4 * h])
-    c = gate_forget * c_prev + gate_in * candidate
-    return gate_out * ad.tanh(c), c
-
-
 def encode_batch(windows, adjacency, params, reduce="concat"):
     """Node embeddings for a batch of windows.
 
@@ -82,7 +86,8 @@ def encode_batch(windows, adjacency, params, reduce="concat"):
     channel, then the step output is
     ``relu(A @ H_t @ w_mix + H_{t-1} @ w_history) @ w_project`` with a zero
     hidden state standing in for the step before the window. Returns a
-    (B, N, d) Tensor, d = T * d_step for ``concat`` or d_step for ``mean``.
+    (B, N, d) Tensor, d = T * d_step for ``concat`` or d_step for ``mean``;
+    with the tape on it is one node over the adjacency and the parameters.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
@@ -90,27 +95,114 @@ def encode_batch(windows, adjacency, params, reduce="concat"):
     if reduce not in ("concat", "mean"):
         raise ValueError(f"reduce must be 'concat' or 'mean', got {reduce!r}")
     n_batch, n_steps, n_chan = windows.shape
+    adjacency = ad.as_tensor(adjacency)
+    if adjacency.shape != (n_batch, n_chan, n_chan):
+        raise ValueError(f"adjacency must be {(n_batch, n_chan, n_chan)}, got {adjacency.shape}")
     rows = n_batch * n_chan
     h = params.hidden
+    d_step = params.d_step
+    weights = tuple(params.tensors().values())
+    w_input, w_hidden, bias, w_mix, w_history, w_project = (w.data for w in weights)
+    a = adjacency.data
+    taping = ad._tracking(adjacency, *weights)
 
-    h_state = Tensor(np.zeros((rows, h)))
-    c_state = Tensor(np.zeros((rows, h)))
-    h_prev3 = Tensor(np.zeros((n_batch, n_chan, h)))
+    x_cols = [np.ascontiguousarray(windows[:, t, :].reshape(rows, 1)) for t in range(n_steps)]
+    h_state = np.zeros((rows, h))
+    c_state = np.zeros((rows, h))
+    h_prev3 = np.zeros((n_batch, n_chan, h))
+    saved = []  # per step, when taping: the four gates and c
     steps = []
-    running = None
-    for t in range(n_steps):
-        x_col = Tensor(windows[:, t, :].reshape(rows, 1))
-        h_state, c_state = _cell_step(x_col, h_state, c_state, params)
-        h_now3 = ad.reshape(h_state, (n_batch, n_chan, h))
-        mixed = ad.matmul(ad.matmul(adjacency, h_now3), params.w_mix)
-        history = ad.matmul(h_prev3, params.w_history)
-        step_out = ad.matmul(ad.relu(mixed + history), params.w_project)
-        if reduce == "concat":
-            steps.append(step_out)
-        else:
-            running = step_out if running is None else running + step_out
+    for x_col in x_cols:
+        pre = np.matmul(x_col, w_input) + np.matmul(h_state, w_hidden) + bias
+        # each gate from its own contiguous copy, as elementwise kernels may
+        # round differently on strided input
+        i, f, g, o = (pre[:, k * h : (k + 1) * h].copy() for k in range(4))
+        gate_in, gate_forget, gate_out = ad.sigmoid_array(i), ad.sigmoid_array(f), ad.sigmoid_array(o)
+        candidate = np.tanh(g)
+        c_state = gate_forget * c_state + gate_in * candidate
+        h_state = gate_out * np.tanh(c_state)
+        if taping:
+            saved.append((gate_in, gate_forget, candidate, gate_out, c_state))
+        h_now3 = h_state.reshape(n_batch, n_chan, h)
+        _, relu_in = _readout_input(a, h_now3, h_prev3, w_mix, w_history)
+        steps.append(np.matmul(np.maximum(relu_in, 0.0), w_project))
         h_prev3 = h_now3
     if reduce == "concat":
-        return ad.concat(steps, axis=2)
-    return running * (1.0 / n_steps)
+        out = np.concatenate(steps, axis=2)
+    else:
+        out = steps[0]
+        for step_out in steps[1:]:
+            out = out + step_out
+        out = out * (1.0 / n_steps)
+    if not taping:
+        return Tensor._make(out, (), None)
 
+    def accumulate(tensor, grad):
+        if tensor.requires_grad:
+            tensor._accumulate(grad)
+
+    def readout_backward(grad):
+        """Readout gradients, t = 0 .. T-1; returns d loss / d h_t for every step."""
+        d_hidden = []
+        h_prev3 = np.zeros((n_batch, n_chan, h))
+        for t, (_, _, _, gate_out, c) in enumerate(saved):
+            h_now3 = (gate_out * np.tanh(c)).reshape(n_batch, n_chan, h)
+            mixed_in, relu_in = _readout_input(a, h_now3, h_prev3, w_mix, w_history)
+            if reduce == "concat":
+                g_out = np.ascontiguousarray(grad[:, :, t * d_step : (t + 1) * d_step])
+            else:
+                g_out = grad
+            accumulate(params.w_project, np.matmul(_swap(np.maximum(relu_in, 0.0)), g_out).sum(axis=0))
+            g_relu = np.matmul(g_out, _swap(w_project)) * (relu_in > 0.0)
+            accumulate(params.w_mix, np.matmul(_swap(mixed_in), g_relu).sum(axis=0))
+            g_mixed_in = np.matmul(g_relu, _swap(w_mix))
+            accumulate(adjacency, np.matmul(g_mixed_in, _swap(h_now3)))
+            accumulate(params.w_history, np.matmul(_swap(h_prev3), g_relu).sum(axis=0))
+            d_hidden.append(np.matmul(_swap(a), g_mixed_in).reshape(rows, h))
+            if t > 0:
+                d_hidden[t - 1] = d_hidden[t - 1] + np.matmul(g_relu, _swap(w_history)).reshape(rows, h)
+            h_prev3 = h_now3
+        return d_hidden
+
+    def recurrence_backward(d_hidden):
+        """Gated-cell gradients, t = T-1 .. 0."""
+        d_h_next = d_c_next = None
+        for t in reversed(range(n_steps)):
+            gate_in, gate_forget, candidate, gate_out, c = saved[t]
+            if t > 0:
+                c_prev = saved[t - 1][4]
+                h_prev = saved[t - 1][3] * np.tanh(c_prev)
+            else:
+                c_prev = h_prev = np.zeros((rows, h))
+            d_h = d_hidden[t] if d_h_next is None else d_hidden[t] + d_h_next
+            tanh_c = np.tanh(c)
+            d_c = d_h * gate_out * (1.0 - tanh_c * tanh_c)
+            if d_c_next is not None:
+                d_c = d_c + d_c_next
+            d_pre = np.empty((rows, 4 * h))
+            d_pre[:, 0:h] = d_c * candidate * gate_in * (1.0 - gate_in)
+            d_pre[:, h : 2 * h] = d_c * c_prev * gate_forget * (1.0 - gate_forget)
+            d_pre[:, 2 * h : 3 * h] = d_c * gate_in * (1.0 - candidate * candidate)
+            d_pre[:, 3 * h : 4 * h] = d_h * tanh_c * gate_out * (1.0 - gate_out)
+            accumulate(params.bias, d_pre.sum(axis=0, keepdims=True))
+            accumulate(params.w_input, np.matmul(_swap(x_cols[t]), d_pre))
+            accumulate(params.w_hidden, np.matmul(_swap(h_prev), d_pre))
+            d_h_next = np.matmul(d_pre, _swap(w_hidden))
+            d_c_next = d_c * gate_forget
+
+    def backward(grad):
+        if reduce == "mean":
+            grad = grad * (1.0 / n_steps)  # every step's output gets this gradient
+        recurrence_backward(readout_backward(grad))
+
+    return Tensor._make(out, (adjacency,) + weights, backward)
+
+
+def _readout_input(a, h_now3, h_prev3, w_mix, w_history):
+    """``A @ H_t`` and the readout's ReLU input ``A @ H_t @ w_mix + H_{t-1} @ w_history``."""
+    mixed_in = np.matmul(a, h_now3)
+    return mixed_in, np.matmul(mixed_in, w_mix) + np.matmul(h_prev3, w_history)
+
+
+def _swap(m):
+    return np.swapaxes(m, -1, -2)

@@ -11,8 +11,10 @@ over training-split scores.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -68,8 +70,14 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "float":
+                kind, ok = "a finite number", isinstance(value, (int, float)) and math.isfinite(value)
+            elif f.type == "int":
+                kind, ok = "an integer", isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            else:
+                kind, ok = f"a {f.type}", isinstance(value, {"str": str, "bool": bool}[f.type])
+            if not ok:
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         for name in ("window", "stride", "batch_size", "epochs", "hidden", "d_step", "flow_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -415,8 +423,8 @@ def score(ds, checkpoint):
         raise ConfigError(
             f"channel mismatch: checkpoint has {names}, dataset has {list(ds.channel_names)}"
         )
-    mean = _decode_array(checkpoint["normalization"]["mean"])
-    std = _decode_array(checkpoint["normalization"]["std"])
+    mean = _decode_array(checkpoint["normalization"].get("mean"), "normalization.mean")
+    std = _decode_array(checkpoint["normalization"].get("std"), "normalization.std")
     if ds.norm_mean is None:
         ds = normalize_with(ds, mean, std)
     elif not (np.allclose(ds.norm_mean, mean) and np.allclose(ds.norm_std, std)):
@@ -464,9 +472,21 @@ def _encode_array(arr):
     }
 
 
-def _decode_array(blob):
-    arr = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").astype(np.float64)
-    return arr.reshape(blob["shape"]).copy()
+def _decode_array(blob, name):
+    """The array of a checkpoint blob; CheckpointError names the field ``name`` if it is malformed."""
+    shape = blob.get("shape") if isinstance(blob, dict) else None
+    if not (isinstance(shape, list) and isinstance(blob.get("data"), str)
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+        raise CheckpointError(f"checkpoint field {name}: expected a 'shape' list of sizes and a 'data' string")
+    try:
+        raw = base64.b64decode(blob["data"], validate=True)
+    except binascii.Error as exc:
+        raise CheckpointError(f"checkpoint field {name}: data is not base64 ({exc})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise CheckpointError(
+            f"checkpoint field {name}: data holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def save_checkpoint(checkpoint, path):
@@ -479,7 +499,9 @@ def load_checkpoint(path):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except IsADirectoryError:
+        raise CheckpointError(f"{path}: is a directory, not a checkpoint file") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: not a valid checkpoint file ({exc})") from None
     if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
@@ -501,6 +523,20 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: config field attention_key_index = {legacy!r} is no longer supported (only 'j')"
         )
+    try:
+        TrainConfig.from_dict(data["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: checkpoint config: {exc}") from None
+    names = data["channel_names"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise CheckpointError(f"{path}: channel_names must be a list of strings")
+    for section in ("normalization", "parameters", "quartiles"):
+        if not isinstance(data[section], dict):
+            raise CheckpointError(f"{path}: checkpoint {section} is not a JSON object")
+    for key in ("q1", "q3", "threshold"):
+        value = data["quartiles"].get(key)
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise CheckpointError(f"{path}: checkpoint field quartiles.{key} must be a finite number, got {value!r}")
     return data
 
 
@@ -516,7 +552,7 @@ def model_from_checkpoint(checkpoint):
             f"unexpected {sorted(set(stored) - set(params))}"
         )
     for name, tensor in params.items():
-        arr = _decode_array(stored[name])
+        arr = _decode_array(stored[name], f"parameters.{name}")
         if arr.shape != tensor.data.shape:
             raise CheckpointError(f"parameter {name} has shape {arr.shape}, expected {tensor.data.shape}")
         tensor.data = arr

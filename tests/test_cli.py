@@ -2,6 +2,7 @@ import base64
 import json
 
 import numpy as np
+import pytest
 
 from tsgad.cli import main
 from tsgad.dataio import read_series
@@ -336,3 +337,53 @@ def test_oracle_pass_and_fault_injection(tmp_path):
     results = json.loads((tmp_path / "oracle.json").read_text())
     assert all(suite["passed"] for suite in results)
     assert main(["oracle", "--seeds", "4", "--inject-fault"]) == 4
+
+
+
+def _blob(values, shape):
+    return {"shape": shape, "dtype": "<f8",
+            "data": base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A synthetic CSV and a checkpoint trained on it, shared by the corruption cases."""
+    root = tmp_path_factory.mktemp("trained")
+    data = _synth(root)
+    return data, _train(root, data)
+
+
+def _eval_exit_2_without_traceback(tmp_path, capsys, data, checkpoint, mention):
+    code = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out-prefix", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert mention in err
+    assert not (tmp_path / "e.scores.csv").exists()
+
+
+@pytest.mark.parametrize("mention, edit", [
+    pytest.param("parameters.encoder.w_mix",
+                 lambda c: c["parameters"]["encoder.w_mix"].update(data="not base64!"),
+                 id="parameter-not-base64"),
+    pytest.param("window must be an integer", lambda c: c["config"].update(window="20"),
+                 id="window-as-string"),
+    pytest.param("normalization.mean",
+                 lambda c: c["normalization"].update(mean=_blob([0.0, 1.0, 2.0], [4])),
+                 id="normalization-shape-mismatch"),
+    pytest.param("parameters.encoder.bias",
+                 lambda c: c["parameters"]["encoder.bias"].update(shape=[2, 3]),
+                 id="parameter-shape-mismatch"),
+    pytest.param("quartiles.threshold", lambda c: c["quartiles"].update(threshold=None),
+                 id="null-threshold"),
+])
+def test_malformed_checkpoint_field_exit_2(tmp_path, capsys, trained, mention, edit):
+    data, ckpt = trained
+    broken = _edit_checkpoint(ckpt, tmp_path / "broken.ckpt.json", edit)
+    _eval_exit_2_without_traceback(tmp_path, capsys, data, broken, mention)
+
+
+def test_data_path_is_a_directory_exit_2(tmp_path, capsys, trained):
+    _, ckpt = trained
+    _eval_exit_2_without_traceback(tmp_path, capsys, tmp_path, ckpt, "is a directory")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,138 @@ def test_condition_identical_windows_identical():
     adjacency = Tensor(np.full((2, 3, 3), 1.0 / 3.0))
     emb = encode_batch(windows, adjacency, params).data
     np.testing.assert_array_equal(emb[0], emb[1])
+
+
+# ---------------------------------------------------------------------------
+# the single encoder node against the same arithmetic composed from tape ops
+
+
+def _cell_step(x_col, h_prev, c_prev, params):
+    """One gated-cell step for all rows at once, built from tape ops."""
+    h = params.hidden
+    pre = ad.matmul(x_col, params.w_input) + ad.matmul(h_prev, params.w_hidden) + params.bias
+    gate_in = ad.sigmoid(pre[:, 0:h])
+    gate_forget = ad.sigmoid(pre[:, h : 2 * h])
+    candidate = ad.tanh(pre[:, 2 * h : 3 * h])
+    gate_out = ad.sigmoid(pre[:, 3 * h : 4 * h])
+    c = gate_forget * c_prev + gate_in * candidate
+    return gate_out * ad.tanh(c), c
+
+
+def _reference_encode(windows, adjacency, params, reduce="concat"):
+    """The encoder as one tape node per op: the reference for encode_batch's backward."""
+    n_batch, n_steps, n_chan = windows.shape
+    rows, h = n_batch * n_chan, params.hidden
+    h_state = Tensor(np.zeros((rows, h)))
+    c_state = Tensor(np.zeros((rows, h)))
+    h_prev3 = Tensor(np.zeros((n_batch, n_chan, h)))
+    steps = []
+    running = None
+    for t in range(n_steps):
+        x_col = Tensor(windows[:, t, :].reshape(rows, 1))
+        h_state, c_state = _cell_step(x_col, h_state, c_state, params)
+        h_now3 = ad.reshape(h_state, (n_batch, n_chan, h))
+        mixed = ad.matmul(ad.matmul(adjacency, h_now3), params.w_mix)
+        history = ad.matmul(h_prev3, params.w_history)
+        step_out = ad.matmul(ad.relu(mixed + history), params.w_project)
+        if reduce == "concat":
+            steps.append(step_out)
+        else:
+            running = step_out if running is None else running + step_out
+        h_prev3 = h_now3
+    if reduce == "concat":
+        return ad.concat(steps, axis=2)
+    return running * (1.0 / n_steps)
+
+
+def _gradients(encode, reduce, seed):
+    """Embeddings and the gradients of a loss that meets the adjacency twice.
+
+    The adjacency's other consumer comes first in the loss, so its gradient
+    reaches the adjacency before the encoder's per-step gradients do, as
+    alignment's does in training; the order of that sum is then pinned.
+    """
+    rng = np.random.default_rng(seed)
+    params = init_encoder(5, 3, np.random.default_rng(seed + 1), out_scale=4.0)
+    windows = rng.normal(size=(3, 9, 4))
+    logits = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
+    adjacency = ad.softmax_rows(logits)
+    emb = encode(windows, adjacency, params, reduce=reduce)
+    loss = ad.sum_(adjacency[1] * adjacency[1]) + ad.sum_(ad.tanh(emb) * emb)
+    ad.backward(loss)
+    grads = {name: t.grad for name, t in params.tensors().items()}
+    grads["logits"] = logits.grad
+    return emb.data, grads
+
+
+@pytest.mark.parametrize("reduce", ["concat", "mean"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_encode_batch_bit_identical_to_tape_composition(reduce, seed):
+    emb, grads = _gradients(encode_batch, reduce, seed)
+    ref_emb, ref_grads = _gradients(_reference_encode, reduce, seed)
+    assert np.array_equal(emb, ref_emb)
+    assert set(grads) == set(ref_grads)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+
+
+def test_no_grad_forward_matches_taped_forward():
+    params = _encoder(h=4, d_step=2, seed=20)
+    windows = np.random.default_rng(21).normal(size=(2, 6, 3))
+    adjacency = Tensor(np.full((2, 3, 3), 1.0 / 3.0), requires_grad=True)
+    taped = encode_batch(windows, adjacency, params)
+    with ad.no_grad():
+        plain = encode_batch(windows, adjacency, params)
+    assert taped.requires_grad and not plain.requires_grad
+    assert np.array_equal(taped.data, plain.data)
+
+
+def test_adjacency_gradient_matches_fd():
+    params = _encoder(h=3, d_step=2, seed=22)
+    rng = np.random.default_rng(23)
+    windows = rng.normal(size=(2, 5, 3))
+    adjacency = Tensor(rng.uniform(0.1, 0.6, size=(2, 3, 3)), requires_grad=True)
+
+    def loss():
+        emb = encode_batch(windows, adjacency, params)
+        return ad.sum_(emb * emb)
+
+    assert gradient_check(loss, [adjacency]) <= 1e-4
+
+
+def test_mean_reduce_gradients_match_fd():
+    params = _encoder(h=3, d_step=2, seed=24)
+    rng = np.random.default_rng(25)
+    windows = rng.normal(size=(2, 4, 3))
+    adjacency = Tensor(rng.uniform(0.1, 0.6, size=(2, 3, 3)), requires_grad=True)
+
+    def loss():
+        emb = encode_batch(windows, adjacency, params, reduce="mean")
+        return ad.sum_(emb * emb)
+
+    assert gradient_check(loss, list(params.tensors().values()) + [adjacency]) <= 1e-4
+
+
+def test_adjacency_shape_must_match_the_batch():
+    params = _encoder()
+    windows = np.zeros((2, 6, 3))
+    with pytest.raises(ValueError, match="adjacency"):
+        encode_batch(windows, Tensor(np.full((1, 3, 3), 1.0 / 3.0)), params)
+
+
+def test_taped_forward_holds_a_few_arrays_per_step():
+    """The tape keeps the four gates and c per step, not every intermediate of the cell."""
+    n_batch, n_steps, n_chan, hidden = 16, 40, 5, 32
+    params = init_encoder(hidden, 4, np.random.default_rng(26))
+    windows = np.random.default_rng(27).normal(size=(n_batch, n_steps, n_chan))
+    adjacency = Tensor(np.full((n_batch, n_chan, n_chan), 1.0 / n_chan), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emb = encode_batch(windows, adjacency, params)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert emb.requires_grad
+    array_bytes = n_batch * n_chan * hidden * 8
+    assert held <= 8 * n_steps * array_bytes, held / (n_steps * array_bytes)
