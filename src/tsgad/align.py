@@ -7,15 +7,25 @@ differences, solved by projected gradient (linearize, then Sinkhorn). The
 fused distance is ``lam * (wd + gwd)`` with independent plans.
 
 Each solver has one implementation, over a stack of K same-shape problems
-advanced in lockstep (one numpy call per update for the whole stack):
-``_sinkhorn`` and ``_entropic_gwd``. A single solve is a stack of one:
+(one numpy call per update for the whole stack): ``_sinkhorn`` and
+``_entropic_gwd``. The stack stops in one of two modes. In lockstep it
+shares one stopping rule: it stops when every problem meets its own. In
+active-set mode each problem leaves the stack when it meets its rule (or
+the cap), keeping its own plan, duals, iteration count and history, and
+the rest of the stack is compacted; the arithmetic is slice-independent,
+so each problem comes out bit-identical to its solve as a stack of one.
 ``sinkhorn_wd``, ``entropic_gwd`` and ``gwd_cost`` validate their inputs and
-call the core with K = 1, and ``batch_alignment`` solves its windows as one
-stack while the stacked problem is small, and as stacks of one otherwise.
+call the core with K = 1. ``batch_alignment`` solves its windows as one
+lockstep stack while the stacked problem is small (B N^4 <= 2e6). Otherwise
+it cuts the windows into active-set stacks of the most windows whose GW
+pseudo-cost tables hold ``_DENSE_QUARTET_LIMIT`` entries, and solves the
+stacks on a thread pool with one thread per CPU the process may use; the
+results do not depend on the number of threads.
 The GW pseudo-cost's plan-independent parts are built once per solve and
 reused by every outer step: the dense difference tensor for small problems,
 and for large ones the sort and search tables of the factorized prefix-sum
-kernel, which then handles all target rows of a chunk in a few numpy calls.
+kernel, which then handles the whole stack and all target rows of a chunk in
+a few numpy calls.
 
 Brute-force enumeration oracles (permutation couplings) live alongside the
 solvers so every solver result can be cross-checked on small instances, and
@@ -31,6 +41,7 @@ constant, so the fused distance differentiates through the cost terms only
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,24 +99,44 @@ def cost_matrix(source_points, target_points):
             f"embedding dimensions differ: {xs.shape} vs {xt.shape}"
         )
     diff = xs[..., :, None, :] - xt[..., None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.multiply(diff, diff, out=diff).sum(axis=-1)
+    return np.sqrt(dist, out=dist)
 
 
 # ---------------------------------------------------------------------------
-# the stacked core: K same-shape problems solved in lockstep
+# the stacked core: K same-shape problems, stopped together or one by one
 
 
 @dataclass
 class _Stack:
-    """Solutions of K same-shape transport problems solved in lockstep."""
+    """Solutions of K same-shape transport problems, each with its own stopping record."""
 
     plans: np.ndarray  # (K, n, m)
     objectives: np.ndarray  # (K,) unregularized costs
     errors: np.ndarray  # (K,) L1 marginal violations of the returned plans
-    iterations: int
-    converged: bool  # every problem met its stopping rule
-    history: np.ndarray  # (iterations, K) violations before rounding, of the last Sinkhorn
+    iterations: np.ndarray  # (K,) iterations each problem ran
+    converged: np.ndarray  # (K,) each problem met its stopping rule
+    history: list  # per problem, the violations before rounding of its last Sinkhorn
     duals: tuple = None  # scaled potentials, (K, n) and (K, m): the GW loop's warm start
+
+    @classmethod
+    def empty_like(cls, part, k):
+        """A stack of ``k`` unset slots shaped like the stack ``part``."""
+        def slots(a):
+            return np.empty((k,) + a.shape[1:], dtype=a.dtype)
+
+        return cls(slots(part.plans), slots(part.objectives), slots(part.errors),
+                   slots(part.iterations), slots(part.converged), [None] * k,
+                   None if part.duals is None else tuple(slots(d) for d in part.duals))
+
+    def put(self, ids, part):
+        """Write the problems of stack ``part`` into slots ``ids``."""
+        for name in ("plans", "objectives", "errors", "iterations", "converged"):
+            getattr(self, name)[ids] = getattr(part, name)
+        for i, h in zip(ids, part.history or ()):
+            self.history[i] = h
+        if part.duals is not None:
+            self.duals[0][ids], self.duals[1][ids] = part.duals
 
     def plan(self, k, u, v):
         """Problem ``k`` of the stack as a TransportPlan."""
@@ -114,10 +145,10 @@ class _Stack:
             source_weights=u,
             target_weights=v,
             objective=float(self.objectives[k]),
-            iterations=self.iterations,
-            converged=self.converged,
+            iterations=int(self.iterations[k]),
+            converged=bool(self.converged[k]),
             marginal_error=float(self.errors[k]),
-            marginal_errors=self.history[:, k].tolist(),
+            marginal_errors=self.history[k].tolist(),
         )
 
 
@@ -150,11 +181,21 @@ def _round_to_marginals(plans, u, v):
     )
 
 
-def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None):
+def _rounded(plans, costs, u, v, iterations, converged, duals):
+    """Plans rounded onto the transport polytope, with their costs and how they stopped."""
+    plans = _round_to_marginals(plans, u, v)
+    k = len(plans)
+    return _Stack(plans, np.einsum("kij,kij->k", plans, costs), _marginal_errors(plans, u, v),
+                  np.full(k, iterations), np.full(k, converged), None, duals)
+
+
+def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set=False):
     """Log-domain Sinkhorn over a (K, n, m) stack of costs.
 
-    Iterates until every problem's L1 marginal violation is below ``tol``
-    (or ``max_iter``), then rounds the plans onto the transport polytope.
+    In lockstep the stack iterates until every problem's L1 marginal
+    violation is below ``tol``; with ``active_set`` each problem leaves the
+    stack at its own violation below ``tol``. Either way at most ``max_iter``
+    times, and each plan is then rounded onto the transport polytope.
     A non-finite cost raises FloatingPointError instead of yielding NaN plans.
     """
     if not np.all(np.isfinite(costs)):
@@ -169,9 +210,10 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None):
         f = np.zeros((k, n))
         g = np.zeros((k, m))
     plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
-    errors = np.zeros(k)
+    out = None  # the problems that left an active-set stack early
+    live = np.arange(k)  # problems still in the stack, in index order
     history = []
-    converged = False
+    met = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         f = loga - _logsumexp(g[:, None, :] - scaled, axis=2)
@@ -179,130 +221,195 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None):
         plans = np.exp(f[:, :, None] + g[:, None, :] - scaled)
         errors = _marginal_errors(plans, u, v)
         history.append(errors)
-        if errors.max() < tol:
-            converged = True
+        if active_set:
+            met = errors < tol
+            if met.all() or iterations == max_iter:
+                break
+            if met.any():
+                part = _rounded(plans[met], costs[met], u, v, iterations, True, (f[met], g[met]))
+                out = out or _Stack.empty_like(part, k)
+                out.put(live[met], part)
+                keep = ~met
+                live, costs, scaled, f, g = live[keep], costs[keep], scaled[keep], f[keep], g[keep]
+        elif errors.max() < tol:
+            met = True
             break
-    plans = _round_to_marginals(plans, u, v)
-    errors = _marginal_errors(plans, u, v)
-    objectives = np.einsum("kij,kij->k", plans, costs)
-    return _Stack(plans, objectives, errors, iterations, converged,
-                  np.reshape(history, (-1, k)), (f, g))
+    rest = _rounded(plans, costs, u, v, iterations, met, (f, g))
+    if out is None:
+        rest.history = list(np.reshape(history, (-1, k)).T)
+        return rest
+    out.put(live, rest)
+    # step t's violations are those of the problems that ran past t, in index order
+    ran = np.arange(len(history))[:, None] < out.iterations
+    table = np.zeros(ran.shape)
+    table[ran] = np.concatenate(history)
+    out.history = [table[:t, j] for j, t in enumerate(out.iterations)]
+    return out
 
 
-_DENSE_QUARTET_LIMIT = 250_000  # entries of one (n, m, n, m) difference tensor
+_DENSE_QUARTET_LIMIT = 250_000  # entries of one stack's pseudo-cost tables
+
+
+def _search_positions(a_s, sorted_vals):
+    """``pos[j, i, i'] = searchsorted(sorted_vals[j], a_s[i, i'], side="right")`` for all rows j."""
+    n, m = a_s.shape[0], sorted_vals.shape[0]
+    by_value = np.argsort(a_s, axis=None, kind="stable")  # the n^2 source entries, ascending
+    sorted_queries = a_s.ravel()[by_value]
+    # One search for all rows: entry v of row j is <= the k-th smallest query iff
+    # k >= rank(v), the number of queries below v, so the row's count of entries
+    # <= that query (searchsorted side="right") is a prefix sum over ranks.
+    ranks = np.searchsorted(sorted_queries, sorted_vals, side="left")
+    at_rank = np.bincount((ranks + np.arange(m)[:, None] * (n * n + 1)).ravel(),
+                          minlength=m * (n * n + 1)).reshape(m, n * n + 1)
+    pos = np.empty((m, n * n), dtype=np.intp)
+    pos[:, by_value] = np.cumsum(at_rank, axis=1)[:, : n * n]
+    return pos.reshape(m, n, n)
 
 
 def _factorized_tables(a_s, a_t):
-    """Plan-independent tables of the factorized pseudo-cost of ``a_s`` (n, n) vs ``a_t`` (m, m).
+    """Plan-independent tables of the factorized pseudo-costs of stacks (K, n, n) vs (K, m, m).
 
-    Holds the stable sort order and sorted values of each target row and,
-    for every target row j and source entry ``a_s[i, i']``, its
-    ``searchsorted(..., side="right")`` position in row j, kept as flat
-    indices into the (n, j_chunk, m + 1) prefix tables of j's chunk. Target
-    rows are taken in chunks so that each prefix table holds at most
-    ``_DENSE_QUARTET_LIMIT`` entries.
+    Holds the source adjacencies, each target row's values in stable sorted
+    order and, per chunk of target rows, two flat index tables: ``gather``
+    reads every plan row in the sorted order of target row j, and ``flat``
+    finds each source entry ``a_s[k, i, i']``'s ``searchsorted(...,
+    side="right")`` position in row j within the (K, n, j_chunk, m + 1)
+    prefix tables of j's chunk. Target rows are taken in chunks so that each
+    prefix table holds at most ``_DENSE_QUARTET_LIMIT`` entries.
     """
-    n, m = a_s.shape[0], a_t.shape[0]
-    order = np.argsort(a_t, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(a_t, order, axis=1)
-    by_value = np.argsort(a_s, axis=None, kind="stable")  # the n^2 source entries, ascending
-    sorted_queries = a_s.ravel()[by_value]
-    width = max(1, _DENSE_QUARTET_LIMIT // (n * (m + 1)))
+    k, n, m = a_s.shape[0], a_s.shape[1], a_t.shape[1]
+    order = np.argsort(a_t, axis=2, kind="stable")
+    sorted_vals = np.take_along_axis(a_t, order, axis=2)
+    pos = np.stack([_search_positions(s, vals) for s, vals in zip(a_s, sorted_vals)])
+    problems = np.arange(k)[:, None, None, None]
+    width = max(1, _DENSE_QUARTET_LIMIT // (k * n * (m + 1)))
     chunks = []
     for lo in range(0, m, width):
         rows = slice(lo, min(lo + width, m))
         cols = rows.stop - lo
-        # One search for all rows of the chunk: entry v of row j is <= the k-th smallest
-        # query iff k >= rank(v), the number of queries below v, so the row's count of
-        # entries <= that query (searchsorted side="right") is a prefix sum over ranks.
-        ranks = np.searchsorted(sorted_queries, sorted_vals[rows], side="left")
-        at_rank = np.bincount((ranks + np.arange(cols)[:, None] * (n * n + 1)).ravel(),
-                              minlength=cols * (n * n + 1)).reshape(cols, n * n + 1)
-        pos = np.empty((cols, n * n), dtype=np.intp)
-        pos[:, by_value] = np.cumsum(at_rank, axis=1)[:, : n * n]
-        # flat index of cum[i', j, pos[j, i, i']] in a C-ordered (n, cols, m + 1) table
-        flat = (np.arange(n) * (cols * (m + 1)) + np.arange(cols)[:, None, None] * (m + 1)
-                + pos.reshape(cols, n, n))
-        chunks.append((rows, flat))
-    return a_s, order, sorted_vals, chunks
+        # flat index of plans[k, i', order[k, j, b]] in a C-ordered (K, n, m) stack
+        gather = problems * (n * m) + np.arange(n)[:, None, None] * m + order[:, None, rows]
+        # flat index of cum[k, i', j, pos[k, j, i, i']] in a C-ordered (K, n, cols, m + 1) table
+        flat = (problems * (n * cols * (m + 1)) + np.arange(n) * (cols * (m + 1))
+                + np.arange(cols)[:, None, None] * (m + 1) + pos[:, rows])
+        chunks.append((rows, gather, flat))
+    return a_s, sorted_vals, chunks
 
 
-def _factorized_pseudo_cost(tables, plan):
-    """``G[i, j] = sum_{i',j'} plan[i',j'] |A_s[i,i'] - A_t[j,j']|`` from prefix sums.
+def _keep_tables(tables, keep):
+    """The factorized tables of the problems in mask ``keep``, re-indexed to their new slots."""
+    a_s, sorted_vals, chunks = tables
+    kept = np.flatnonzero(keep)
+    moved = (np.arange(kept.size) - kept)[:, None, None, None]
+    n, m = a_s.shape[1], sorted_vals.shape[2]
+    return a_s[kept], sorted_vals[kept], [
+        (rows, gather[kept] + moved * (n * m),
+         flat[kept] + moved * (n * (rows.stop - rows.start) * (m + 1)))
+        for rows, gather, flat in chunks
+    ]
+
+
+def _factorized_pseudo_costs(tables, plans):
+    """``G[k, i, j] = sum_{i',j'} plans[k, i', j'] |A_s[k, i, i'] - A_t[k, j, j']|`` from prefix sums.
 
     Reads weighted L1 distances off prefix sums over each target row in
-    sorted order, for a chunk of target rows at a time: O(n m (n + m)) per
-    plan once ``_factorized_tables`` has sorted the rows, instead of the
-    quadruple loop's O(n^2 m^2).
+    sorted order, for the whole stack and a chunk of target rows at a time:
+    O(n m (n + m)) per plan once ``_factorized_tables`` has sorted the rows,
+    instead of the quadruple loop's O(n^2 m^2).
     """
-    a_s, order, sorted_vals, chunks = tables
-    n, m = plan.shape
-    pseudo = np.empty((n, m))
-    total_w = plan.sum(axis=1)
-    for rows, flat in chunks:
-        weights = plan[:, order[rows]]  # (n, cols, m): weights[i', j, b] = plan[i', order[j, b]]
-        cum_w = np.zeros(weights.shape[:2] + (m + 1,))
+    a_s, sorted_vals, chunks = tables
+    k, n, m = plans.shape
+    pseudo = np.empty((k, n, m))  # C-ordered: the order of later sums depends on it
+    total_w = plans.sum(axis=2)[:, None, None, :]  # total_w[k, 0, 0, i']
+    for rows, gather, flat in chunks:
+        # (K, n, cols, m): weights[k, i', j, b] = plans[k, i', order[k, j, b]]
+        weights = plans.take(gather)
+        cum_w = np.zeros(weights.shape[:3] + (m + 1,))
         cum_w[..., 1:] = np.cumsum(weights, axis=-1)
         cum_v = np.zeros_like(cum_w)
-        cum_v[..., 1:] = np.cumsum(weights * sorted_vals[rows], axis=-1)
-        total_v = cum_v[..., -1].T[:, None, :]  # total_v[j, 0, i']
-        below_w = cum_w.take(flat)  # (cols, n, n): below_w[j, i, i']
+        cum_v[..., 1:] = np.cumsum(weights * sorted_vals[:, None, rows], axis=-1)
+        total_v = cum_v[..., -1].transpose(0, 2, 1)[:, :, None, :]  # total_v[k, j, 0, i']
+        below_w = cum_w.take(flat)  # (K, cols, n, n): below_w[k, j, i, i']
         below_v = cum_v.take(flat)
-        per_pair = a_s * (2.0 * below_w - total_w) + total_v - 2.0 * below_v
-        pseudo[:, rows] = per_pair.sum(axis=-1).T
+        per_pair = a_s[:, None] * (2.0 * below_w - total_w) + total_v - 2.0 * below_v
+        pseudo[:, :, rows] = per_pair.sum(axis=-1).transpose(0, 2, 1)
     return pseudo
 
 
-def _factorized_map(adj_s, adj_t):
-    """Stacked factorized pseudo-cost map, its tables built once here."""
-    tables = [_factorized_tables(s, t) for s, t in zip(adj_s, adj_t)]
-    return lambda plans: np.stack([_factorized_pseudo_cost(tab, p) for tab, p in zip(tables, plans)])
+class _QuartetCosts:
+    """Pseudo-cost maps of stacked adjacencies (K, n, n) and (K, m, m).
 
-
-def _quartet_pseudo_costs(adj_s, adj_t, dense):
-    """Pseudo-cost maps for stacks of adjacencies (K, n, n) and (K, m, m).
-
-    Returns ``forward(plans)[k, i, j] = sum_ab plans[k, a, b] |A_s[k, i, a] - A_t[k, j, b]|``
-    and ``backward``, the same for the transposed adjacencies. Everything
+    ``forward(plans)[k, i, j] = sum_ab plans[k, a, b] |A_s[k, i, a] - A_t[k, j, b]|``
+    and ``backward`` is the same for the transposed adjacencies. Everything
     that does not depend on the plans is built once here, so that every
     outer GW step reuses it: the dense maps contract the difference tensor,
     the factorized maps read prefix sums through the sort and search tables.
+    ``keep`` drops the problems that have left an active-set stack. Without
+    ``transposed`` only ``forward`` is built.
     """
-    if dense:
-        diff = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
-        return (lambda plans: np.einsum("kab,kijab->kij", plans, diff, optimize=True),
-                lambda plans: np.einsum("kab,kabij->kij", plans, diff, optimize=True))
-    return (_factorized_map(adj_s, adj_t),
-            _factorized_map(adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1)))
+
+    def __init__(self, adj_s, adj_t, dense, transposed=True):
+        self.dense = dense
+        if dense:
+            self.tables = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
+        else:
+            pairs = [(adj_s, adj_t), (adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1))]
+            self.tables = [_factorized_tables(s, t) for s, t in pairs[: 1 + transposed]]
+
+    def forward(self, plans):
+        if self.dense:
+            return np.einsum("kab,kijab->kij", plans, self.tables, optimize=True)
+        return _factorized_pseudo_costs(self.tables[0], plans)
+
+    def backward(self, plans):
+        if self.dense:
+            return np.einsum("kab,kabij->kij", plans, self.tables, optimize=True)
+        return _factorized_pseudo_costs(self.tables[1], plans)
+
+    def keep(self, keep):
+        self.tables = self.tables[keep] if self.dense else [_keep_tables(t, keep) for t in self.tables]
 
 
-def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, obj_tol=1e-9):
+def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, obj_tol=1e-9,
+                  active_set=False):
     """Projected-gradient entropic GW over stacks (K, n, n) vs (K, m, m).
 
     Each outer step linearizes the quartet objective at the current plans
-    and projects with Sinkhorn, warm started from the previous duals. The
-    stack stops when its plans stop moving or every problem's objective has
-    stalled for three steps; each problem returns its best iterate.
+    and projects with Sinkhorn, warm started from the previous duals. In
+    lockstep the stack stops when its plans stop moving or every problem's
+    objective has stalled for three steps; with ``active_set`` each problem
+    leaves the stack when its own plan stops moving or its own objective has
+    stalled, and its inner Sinkhorn solves stop one by one too. Each problem
+    returns its best iterate.
     """
     k, n = adj_s.shape[:2]
     m = adj_t.shape[1]
-    forward, backward = _quartet_pseudo_costs(adj_s, adj_t, n * n * m * m <= _DENSE_QUARTET_LIMIT)
+    quartet = _QuartetCosts(adj_s, adj_t, n * n * m * m <= _DENSE_QUARTET_LIMIT)
     plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
-    pseudo = forward(plans)
+    pseudo = quartet.forward(plans)
     best_plans = plans.copy()
     best_objs = np.einsum("kij,kij->k", plans, pseudo)
     best_errs = np.zeros(k)
     stalled = np.zeros(k, dtype=int)
-    step = None
-    converged = False
+    out = None  # the problems that left an active-set stack early
+    live = np.arange(k)  # problems still in the stack, in index order
+    duals = None
+    last = [np.zeros(0)] * k  # the live problems' histories of their last Sinkhorn
+    met = False
     iterations = 0
+
+    def stopped(sel, converged):
+        """The live problems in mask ``sel`` as a stack of their best iterates."""
+        count = np.count_nonzero(sel)
+        return _Stack(best_plans[sel], best_objs[sel], best_errs[sel], np.full(count, iterations),
+                      np.full(count, converged), list(itertools.compress(last, sel)))
+
     for iterations in range(1, outer_iter + 1):
-        direction = 0.5 * (pseudo + backward(plans))
-        step = _sinkhorn(direction, u, v, beta, sink_iter, sink_tol,
-                         init_potentials=None if step is None else step.duals)
-        delta = np.abs(step.plans - plans).max()
-        plans = step.plans
-        pseudo = forward(plans)
+        direction = 0.5 * (pseudo + quartet.backward(plans))
+        step = _sinkhorn(direction, u, v, beta, sink_iter, sink_tol, duals, active_set)
+        moved = np.abs(step.plans - plans)
+        plans, duals, last = step.plans, step.duals, step.history
+        pseudo = quartet.forward(plans)
         objs = np.einsum("kij,kij->k", plans, pseudo)
         improved = objs < best_objs - obj_tol * np.maximum(1.0, np.abs(best_objs))
         take = objs <= best_objs
@@ -310,11 +417,27 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
         best_errs[take] = step.errors[take]
         best_objs = np.minimum(best_objs, objs)
         stalled = np.where(improved, 0, stalled + 1)
-        if delta < tol or stalled.min() >= 3:
-            converged = True
+        if active_set:
+            met = (moved.max(axis=(1, 2)) < tol) | (stalled >= 3)
+            if met.all() or iterations == outer_iter:
+                break
+            if met.any():
+                part = stopped(met, True)
+                out = out or _Stack.empty_like(part, k)
+                out.put(live[met], part)
+                keep = ~met
+                live, plans, pseudo, stalled = live[keep], plans[keep], pseudo[keep], stalled[keep]
+                best_plans, best_objs, best_errs = best_plans[keep], best_objs[keep], best_errs[keep]
+                duals = (duals[0][keep], duals[1][keep])
+                quartet.keep(keep)
+        elif moved.max() < tol or stalled.min() >= 3:
+            met = True
             break
-    history = np.zeros((0, k)) if step is None else step.history
-    return _Stack(best_plans, best_objs, best_errs, iterations, converged, history)
+    rest = stopped(np.ones(live.size, dtype=bool), met)
+    if out is None:
+        return rest
+    out.put(live, rest)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +484,8 @@ def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
         raise ValueError(f"plan shape {plan.shape} does not match ({n}, {m})")
     if method not in ("auto", "dense", "factorized"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT):
-        forward, _ = _quartet_pseudo_costs(a_s[None], a_t[None], dense=True)
-    else:
-        forward = _factorized_map(a_s[None], a_t[None])
-    pseudo = forward(plan[None])
+    dense = method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT)
+    pseudo = _QuartetCosts(a_s[None], a_t[None], dense, transposed=False).forward(plan[None])
     return float(np.einsum("kij,kij->k", plan[None], pseudo)[0]), pseudo[0]
 
 
@@ -523,7 +643,8 @@ def wd_cost_term(source_embeddings, target_embeddings, plan):
         go = float(grad)
         scale = np.where(dist > 1e-12, plan / np.maximum(dist, 1e-12), 0.0)
         # the (n, m, d) differences are rebuilt here, not held from the forward
-        pulls = scale[:, :, None] * (xs.data[:, None, :] - xt.data[None, :, :])
+        diff = xs.data[:, None, :] - xt.data[None, :, :]
+        pulls = np.multiply(diff, scale[:, :, None], out=diff)
         if xs.requires_grad:
             xs._accumulate(go * pulls.sum(axis=1))
         if xt.requires_grad:
@@ -598,6 +719,25 @@ def gwd_cost_term(source_adjacency, target_adjacency, plan):
 # batch-wise alignment against the leave-one-out reference graph
 
 
+def _worker_count():
+    """CPUs this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_threads(fn, tasks):
+    """``[fn(t) for t in tasks]`` on one thread per CPU; the first error raised reaches the caller."""
+    if len(tasks) == 1:
+        return [fn(tasks[0])]
+    # imported here, not at module load: it loads logging, which the lockstep route never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(min(_worker_count(), len(tasks)))
+    try:
+        return list(pool.map(fn, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @dataclass
 class BatchAlignment:
     wd: np.ndarray
@@ -644,42 +784,57 @@ def batch_alignment(
     if omega_mode not in ("mean", "concat"):
         raise ValueError(f"unknown omega_mode: {omega_mode!r}")
 
-    n = emb.data.shape[1]
+    emb_np, adj_np = emb.data, adj.data
+    n = emb_np.shape[1]
+    m = n if omega_mode == "mean" else (batch - 1) * n
     u = uniform_weights(n)
-    v = u if omega_mode == "mean" else uniform_weights((batch - 1) * n)
-    emb_sum_np = emb.data.sum(axis=0)
-    adj_sum_np = adj.data.sum(axis=0)
+    v = u if omega_mode == "mean" else uniform_weights(m)
+    emb_sum_np = emb_np.sum(axis=0)
+    adj_sum_np = adj_np.sum(axis=0)
 
-    def references(s):
-        """Reference embeddings and adjacencies of the windows in slice ``s``, stacked."""
+    def reference(i):
+        """Reference embeddings and adjacency of window ``i``."""
         if omega_mode == "mean":
-            return (emb_sum_np - emb.data[s]) / (batch - 1), (adj_sum_np - adj.data[s]) / (batch - 1)
-        others = [k for k in range(batch) if k != s.start]  # concat stacks hold one window
-        at = np.zeros(((batch - 1) * n, (batch - 1) * n))
+            return (emb_sum_np - emb_np[i]) / (batch - 1), (adj_sum_np - adj_np[i]) / (batch - 1)
+        others = [k for k in range(batch) if k != i]
+        at = np.zeros((m, m))
         for slot, k in enumerate(others):
-            at[slot * n : (slot + 1) * n, slot * n : (slot + 1) * n] = adj.data[k]
-        return emb.data[others].reshape(1, (batch - 1) * n, -1), at[None]
+            at[slot * n : (slot + 1) * n, slot * n : (slot + 1) * n] = adj_np[k]
+        return emb_np[others].reshape(m, -1), at
 
     # all windows advance in lockstep as one stack while the stacked problem is
     # small (B * N^4 bounds the dense GW difference tensor); otherwise, and in
-    # concat mode, each window is a stack of one
+    # concat mode, stacks of windows, each stopping by its own rule, run on threads,
+    # as many windows to a stack as keep its GW pseudo-cost tables within the limit
     lockstep = omega_mode == "mean" and batch * n**4 <= 2_000_000
-    stacks = [slice(0, batch)] if lockstep else [slice(i, i + 1) for i in range(batch)]
+    per_window = n * n * m * m if n * n * m * m <= _DENSE_QUARTET_LIMIT else n * m * (m + 1)
+    size = batch if lockstep else max(1, _DENSE_QUARTET_LIMIT // per_window)
+    stacks = [slice(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
+
+    def solve(s):
+        """Both alignments of the windows in slice ``s`` as one stack (private core only: no tape)."""
+        windows = range(batch)[s]
+        refs = [reference(i) for i in windows]
+        wd = gwd = None
+        if "wd" in terms:
+            costs = np.stack([cost_matrix(emb_np[i], xt) for i, (xt, _) in zip(windows, refs)])
+            wd = _sinkhorn(costs, u, v, beta, sink_iter, sink_tol, active_set=not lockstep)
+        if "gwd" in terms:
+            gwd = _entropic_gwd(adj_np[s], np.stack([at for _, at in refs]), u, v, beta, gw_outer,
+                                gw_tol, sink_iter, sink_tol, active_set=not lockstep)
+        return wd, gwd
+
     wd_vals = np.zeros(batch)
     gwd_vals = np.zeros(batch)
     wd_plans = []
     gwd_plans = []
-    for s in stacks:
-        xt_np, at_np = references(s)
-        if "wd" in terms:
-            solved = _sinkhorn(cost_matrix(emb.data[s], xt_np), u, v, beta, sink_iter, sink_tol)
-            wd_vals[s] = solved.objectives
-            wd_plans += [solved.plan(k, u, v) for k in range(len(solved.plans))]
-        if "gwd" in terms:
-            solved = _entropic_gwd(adj.data[s], at_np, u, v, beta, gw_outer, gw_tol,
-                                   sink_iter, sink_tol)
-            gwd_vals[s] = solved.objectives
-            gwd_plans += [solved.plan(k, u, v) for k in range(len(solved.plans))]
+    for s, (wd, gwd) in zip(stacks, _in_threads(solve, stacks)):
+        if wd is not None:
+            wd_vals[s] = wd.objectives
+            wd_plans += [wd.plan(k, u, v) for k in range(len(wd.plans))]
+        if gwd is not None:
+            gwd_vals[s] = gwd.objectives
+            gwd_plans += [gwd.plan(k, u, v) for k in range(len(gwd.plans))]
 
     total = Tensor(0.0)
     emb_sum = emb.sum(axis=0) if emb.requires_grad else None

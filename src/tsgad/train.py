@@ -42,6 +42,11 @@ ABLATIONS = {
 PAPER_SCALE = {"window": 80, "batch_size": 256, "epochs": 60}
 
 
+def _is_number(value):
+    """A JSON number: int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     window: int = 40
@@ -71,7 +76,7 @@ class TrainConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float":
-                kind, ok = "a finite number", isinstance(value, (int, float)) and math.isfinite(value)
+                kind, ok = "a finite number", _is_number(value) and math.isfinite(value)
             elif f.type == "int":
                 kind, ok = "an integer", isinstance(value, numbers.Integral) and not isinstance(value, bool)
             else:
@@ -81,6 +86,8 @@ class TrainConfig:
         for name in ("window", "stride", "batch_size", "epochs", "hidden", "d_step", "flow_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (alignment needs a reference)")
         for name in ("learning_rate", "beta"):
@@ -475,9 +482,11 @@ def _encode_array(arr):
 def _decode_array(blob, name):
     """The array of a checkpoint blob; CheckpointError names the field ``name`` if it is malformed."""
     shape = blob.get("shape") if isinstance(blob, dict) else None
-    if not (isinstance(shape, list) and isinstance(blob.get("data"), str)
+    if not (isinstance(shape, list) and isinstance(blob.get("data"), str) and blob.get("dtype") == "<f8"
             and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
-        raise CheckpointError(f"checkpoint field {name}: expected a 'shape' list of sizes and a 'data' string")
+        raise CheckpointError(
+            f"checkpoint field {name}: expected a 'shape' list of sizes, dtype '<f8' and a 'data' string"
+        )
     try:
         raw = base64.b64decode(blob["data"], validate=True)
     except binascii.Error as exc:
@@ -505,7 +514,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: not a valid checkpoint file ({exc})") from None
     if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if data.get("version") != CHECKPOINT_VERSION:
+    if not _is_number(data.get("version")) or data["version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {data.get('version')!r}, expected {CHECKPOINT_VERSION}"
         )
@@ -535,7 +544,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: checkpoint {section} is not a JSON object")
     for key in ("q1", "q3", "threshold"):
         value = data["quartiles"].get(key)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not (_is_number(value) and math.isfinite(value)):
             raise CheckpointError(f"{path}: checkpoint field quartiles.{key} must be a finite number, got {value!r}")
     return data
 

@@ -5,7 +5,7 @@ from tsgad import align
 from tsgad import autodiff as ad
 from tsgad.align import (
     _entropic_gwd,
-    _quartet_pseudo_costs,
+    _QuartetCosts,
     _sinkhorn,
     alignment_equivalence_check,
     batch_alignment,
@@ -147,7 +147,7 @@ def test_gwd_factorized_chunks_match_one_chunk(monkeypatch):
     whole = gwd_cost(a_s, a_t, plan, method="factorized")
     # 3 target rows per chunk: four chunks, the last one ragged
     monkeypatch.setattr(align, "_DENSE_QUARTET_LIMIT", 3 * n * (m + 1))
-    assert [c.stop - c.start for c, _ in align._factorized_tables(a_s, a_t)[3]] == [3, 3, 3, 2]
+    assert [c.stop - c.start for c, _, _ in align._factorized_tables(a_s[None], a_t[None])[2]] == [3, 3, 3, 2]
     chunked = gwd_cost(a_s, a_t, plan, method="factorized")
     assert chunked[0] == whole[0]
     np.testing.assert_array_equal(chunked[1], whole[1])
@@ -160,11 +160,11 @@ def test_entropic_gwd_factorized_stack_equals_single_solves():
     a_s, a_t = rng.random((3, n, n)), rng.random((3, n, n))
     u = uniform_weights(n)
     plans = rng.random((3, n, n))
-    forward, backward = _quartet_pseudo_costs(a_s, a_t, dense=False)
+    stacked = _QuartetCosts(a_s, a_t, dense=False)
     for k in range(3):
-        fwd_k, bwd_k = _quartet_pseudo_costs(a_s[k : k + 1], a_t[k : k + 1], dense=False)
-        np.testing.assert_array_equal(forward(plans)[k], fwd_k(plans[k : k + 1])[0])
-        np.testing.assert_array_equal(backward(plans)[k], bwd_k(plans[k : k + 1])[0])
+        single = _QuartetCosts(a_s[k : k + 1], a_t[k : k + 1], dense=False)
+        np.testing.assert_array_equal(stacked.forward(plans)[k], single.forward(plans[k : k + 1])[0])
+        np.testing.assert_array_equal(stacked.backward(plans)[k], single.backward(plans[k : k + 1])[0])
     # with both stopping rules off (tol = 0, fewer than 3 outer steps, fixed Sinkhorn
     # iterations) every problem takes the same steps alone as in the stack
     args = (u, u, 0.05, 2, 0.0, 30, 0.0)
@@ -174,6 +174,73 @@ def test_entropic_gwd_factorized_stack_equals_single_solves():
         np.testing.assert_array_equal(stack.plans[k], single.plans[0])
         assert stack.objectives[k] == single.objectives[0]
         assert stack.errors[k] == single.errors[0]
+
+
+def _varied_problems(rng, n, m, count):
+    """Wasserstein costs and GW adjacency pairs whose solves stop after different iteration counts."""
+    makers = (
+        lambda size: rng.random((size, size)),  # stops when its plan stops moving
+        lambda size: 5.0 * rng.random((size, size)),
+        lambda size: (lambda r: r + r.T)(rng.random((size, size))),  # hits the outer cap
+        lambda size: (lambda r: r / r.sum(axis=1, keepdims=True))(rng.random((size, size))),  # stalls
+        lambda size: np.kron(rng.random((6, 6)), np.ones((5, 5)))[:size, :size] + 0.01 * rng.random((size, size)),
+    )
+    costs = np.stack([cost_matrix(rng.random((n, 3)) * (1 + k), rng.random((m, 3))) for k in range(count)])
+    pairs = [(makers[k % len(makers)](n), makers[k % len(makers)](m)) for k in range(count)]
+    return costs, np.stack([s for s, _ in pairs]), np.stack([t for _, t in pairs])
+
+
+def _assert_same_plan(got, want):
+    assert got.plan.tobytes() == want.plan.tobytes()
+    assert got.objective == want.objective
+    assert got.marginal_error == want.marginal_error
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.marginal_errors == want.marginal_errors
+
+
+@pytest.mark.parametrize("n, m", [(25, 25), (23, 23), (21, 27)])
+def test_active_set_stack_equals_single_solves(n, m):
+    # factorized GW sizes (n^2 m^2 > 250k), six different problems, stopping rules on:
+    # each problem leaves the stack at its own iteration and must come out exactly
+    # as its single solve
+    costs, adj_s, adj_t = _varied_problems(np.random.default_rng(n * m), n, m, 6)
+    u, v = uniform_weights(n), uniform_weights(m)
+    wd = _sinkhorn(costs, u, v, 0.05, 200, 1e-7, active_set=True)
+    gwd = _entropic_gwd(adj_s, adj_t, u, v, 0.05, 20, 1e-8, 200, 1e-7, active_set=True)
+    for k in range(6):
+        _assert_same_plan(wd.plan(k, u, v), sinkhorn_wd(costs[k], u, v, 0.05))
+        _assert_same_plan(gwd.plan(k, u, v), entropic_gwd(adj_s[k], adj_t[k], u, v, 0.05))
+    assert len(set(wd.iterations)) > 1 and len(set(gwd.iterations)) > 1
+    assert gwd.converged.any() and not gwd.converged.all()
+    # C-ordered pseudo-costs: a transposed layout reorders the Sinkhorn sums and moves the bits
+    assert _QuartetCosts(adj_s, adj_t, dense=False).forward(wd.plans).flags.c_contiguous
+
+
+def test_batch_alignment_results_do_not_depend_on_worker_count(monkeypatch):
+    # B * N^4 > 2e6: stacks of 15 and 5 windows, on one thread, two, and more than the CPUs
+    rng = np.random.default_rng(13)
+    emb = rng.normal(size=(20, 25, 4))
+    raw = rng.random((20, 25, 25))
+    adj = raw / raw.sum(axis=2, keepdims=True)
+    runs = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(align, "_worker_count", lambda workers=workers: workers)
+        res = batch_alignment(Tensor(emb), Tensor(adj), lam=0.1, beta=0.05)
+        runs.append((res.wd.tobytes(), res.gwd.tobytes(),
+                     [p.plan.tobytes() for p in res.wd_plans + res.gwd_plans]))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_batch_alignment_worker_error_reaches_caller(monkeypatch):
+    monkeypatch.setattr(align, "_worker_count", lambda: 2)
+    rng = np.random.default_rng(14)
+    emb = rng.normal(size=(20, 25, 4))
+    emb[17, 3, 1] = np.nan
+    adj = rng.random((20, 25, 25))
+    with pytest.raises(FloatingPointError, match="transport cost is not finite") as raised:
+        batch_alignment(Tensor(emb), Tensor(adj), lam=0.1, beta=0.05)
+    assert raised.type is FloatingPointError
 
 
 def test_gwd_cost_zero_for_identical_identity_plan():

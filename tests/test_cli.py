@@ -377,6 +377,12 @@ def _eval_exit_2_without_traceback(tmp_path, capsys, data, checkpoint, mention):
                  id="parameter-shape-mismatch"),
     pytest.param("quartiles.threshold", lambda c: c["quartiles"].update(threshold=None),
                  id="null-threshold"),
+    pytest.param("quartiles.q1", lambda c: c["quartiles"].update(q1=True), id="boolean-quartile"),
+    pytest.param("dtype '<f8'", lambda c: c["parameters"]["encoder.w_mix"].update(dtype="<f4"),
+                 id="parameter-dtype"),
+    pytest.param("seed must be >= 0", lambda c: c["config"].update(seed=-1), id="negative-seed"),
+    pytest.param("unsupported checkpoint version", lambda c: c.update(version=True),
+                 id="boolean-version"),
 ])
 def test_malformed_checkpoint_field_exit_2(tmp_path, capsys, trained, mention, edit):
     data, ckpt = trained

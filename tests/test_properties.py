@@ -1,5 +1,9 @@
-"""Property tests: CSV round trip, the window table, and scoring on arbitrary series."""
+"""Property tests: CSV round trip, the window table, scoring on arbitrary series, and
+the CLI on corrupted checkpoints and CSVs."""
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tsgad.cli import main
 from tsgad.dataio import (
     SeriesDataset,
     num_windows,
@@ -82,3 +87,93 @@ def test_score_finite_and_prefix_independent(tiny_checkpoint, data, length):
     rows = (kept - 1) * TINY["stride"] + TINY["window"]
     prefix = score(SeriesDataset(CHANNELS, values[:rows], np.zeros(rows)), tiny_checkpoint)
     assert prefix.nll.tobytes() == report.nll[:kept].tobytes()
+
+
+# corrupted inputs: the CLI ends in a documented exit code, never in a traceback
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A valid tiny CSV and a checkpoint trained on it by the CLI."""
+    root = tmp_path_factory.mktemp("cli")
+    data, ckpt = root / "data.csv", root / "model.ckpt.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--channels", "3", "--length", "160", "--spike", "100:110",
+                     "--seed", "1", "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(ckpt), "--seed", "0",
+                     "--window", "8", "--stride", "4", "--batch", "4", "--epochs", "1",
+                     "--hidden", "4", "--d-step", "2"]) == 0
+    return data, ckpt
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar of a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+    if items is None:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+def _wrong_values(value):
+    """Replacements that no field holding ``value`` accepts: another JSON type, or out of range.
+
+    Integers stay small: the model is allocated from ``hidden`` before the stored
+    shapes are compared, and a large ``score_passes`` is valid but slow.
+    """
+    others = [None, [], {}, "?"]
+    if isinstance(value, bool):
+        return others + [0, 1]
+    if isinstance(value, int):
+        return others + [-1, 0.5, True]
+    if isinstance(value, float):
+        return others + [float("nan"), float("inf"), True]
+    return others + [0, ""]
+
+
+def _eval_exit_code(data, checkpoint, out_dir):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                     "--out-prefix", str(Path(out_dir) / "e")])
+    return code, err.getvalue()
+
+
+@PROPERTY
+@given(data=st.data())
+def test_cli_corrupted_checkpoint_field_exits_cleanly(cli_inputs, data):
+    csv_path, ckpt = cli_inputs
+    checkpoint = json.loads(ckpt.read_text())
+    path = data.draw(st.sampled_from(_leaves(checkpoint)))
+    parent = checkpoint
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(st.sampled_from(_wrong_values(parent[path[-1]])))
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = Path(tmp) / "broken.ckpt.json"
+        broken.write_text(json.dumps(checkpoint))
+        code, err = _eval_exit_code(csv_path, broken, tmp)
+    assert code in (1, 2, 3), (path, parent[path[-1]], code)
+    assert "Traceback" not in err
+
+
+@PROPERTY
+@given(data=st.data())
+def test_cli_corrupted_csv_cell_exits_cleanly(cli_inputs, data):
+    csv_path, ckpt = cli_inputs
+    lines = csv_path.read_text().splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    column = data.draw(st.integers(0, len(cells) - 1))
+    if row == 0:
+        bad = ["", "?", "label", cells[(column + 1) % len(cells)]]  # a header name
+    elif lines[0].split(",")[column] == "label":
+        bad = ["2", "-1", "0.5", "", "x", "nan"]
+    else:
+        bad = ["nan", "inf", "-inf", "1e999", "", "x", "1,2"]
+    cells[column] = data.draw(st.sampled_from(bad))
+    lines[row] = ",".join(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = Path(tmp) / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        code, err = _eval_exit_code(broken, ckpt, tmp)
+    assert code in (1, 2, 3), (row, column, cells[column], code)
+    assert "Traceback" not in err

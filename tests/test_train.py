@@ -89,9 +89,11 @@ def test_config_validation():
         TrainConfig(score_passes=0)
     with pytest.raises(ConfigError, match="grad_clip"):
         TrainConfig(grad_clip=-1.0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
     for name, bad in (("learning_rate", float("nan")), ("lam", float("nan")),
                       ("beta", float("inf")), ("grad_clip", float("nan")),
-                      ("split_fraction", float("-inf")), ("dropout", "0.1")):
+                      ("split_fraction", float("-inf")), ("dropout", "0.1"), ("lam", True)):
         with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
             TrainConfig(**{name: bad})
     with pytest.raises(ConfigError, match="unknown config fields"):
@@ -198,6 +200,16 @@ def test_train_divergence_reports_coordinates():
         cfg.learning_rate = 1e200
         with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
             train(train_ds, cfg)
+
+
+def test_train_divergence_in_per_window_alignment_reports_coordinates():
+    # 19 channels at batch 16: B * N^4 > 2e6, so each window's alignment runs as its
+    # own stack on the thread pool, and the worker's error must still name the batch
+    train_ds, _ = split_normalize(synth_generate(19, 300, [], seed=3, noise=0.05), 0.6)
+    cfg = TrainConfig(**{**DESK, "batch_size": 16})
+    cfg.learning_rate = 1e200
+    with pytest.raises(DivergenceError, match=r"transport cost is not finite at epoch 0, batch 1"):
+        train(train_ds, cfg)
 
 
 # scoring
