@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, mul, sub
+from .autodiff import Tensor, as_tensor, mul, sub
 
 
 @dataclass
@@ -672,47 +672,22 @@ def _sign_quartet_grads(a_s, a_t, plan):
 
 
 def gwd_cost_term(source_adjacency, target_adjacency, plan):
-    """Quartet objective as a tape node; gradients flow to both adjacencies.
-
-    ``target_adjacency`` may be a list of square Tensors, in which case the
-    target graph is their block-diagonal composition (disjoint union).
-    """
+    """Quartet objective as a tape node; gradients flow to both adjacencies."""
     a_s = as_tensor(source_adjacency)
-    blocks = None
-    if isinstance(target_adjacency, (list, tuple)):
-        blocks = [as_tensor(b) for b in target_adjacency]
-        sizes = [b.data.shape[0] for b in blocks]
-        m = sum(sizes)
-        a_t_data = np.zeros((m, m))
-        off = 0
-        for b, s in zip(blocks, sizes):
-            a_t_data[off : off + s, off : off + s] = b.data
-            off += s
-        parents = (a_s, *blocks)
-    else:
-        a_t = as_tensor(target_adjacency)
-        a_t_data = a_t.data
-        parents = (a_s, a_t)
+    a_t = as_tensor(target_adjacency)
     plan = np.asarray(plan, dtype=np.float64)
-    objective, _ = gwd_cost(a_s.data, a_t_data, plan)
+    objective, _ = gwd_cost(a_s.data, a_t.data, plan)
     out = np.asarray(objective)
 
     def backward(grad):
         go = float(grad)
-        grad_s, grad_t = _sign_quartet_grads(a_s.data, a_t_data, plan)
+        grad_s, grad_t = _sign_quartet_grads(a_s.data, a_t.data, plan)
         if a_s.requires_grad:
             a_s._accumulate(go * grad_s)
-        if blocks is not None:
-            off = 0
-            for b in blocks:
-                s = b.data.shape[0]
-                if b.requires_grad:
-                    b._accumulate(go * grad_t[off : off + s, off : off + s])
-                off += s
-        elif parents[1].requires_grad:
-            parents[1]._accumulate(go * grad_t)
+        if a_t.requires_grad:
+            a_t._accumulate(go * grad_t)
 
-    return Tensor._make(out, parents, backward)
+    return Tensor._make(out, (a_s, a_t), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -754,20 +729,18 @@ def batch_alignment(
     lam=0.1,
     beta=0.05,
     terms=("wd", "gwd"),
-    omega_mode="mean",
     sink_iter=200,
     sink_tol=1e-7,
     gw_outer=20,
     gw_tol=1e-8,
 ):
-    """Per-window fused distance against the aggregate of the other windows.
+    """Per-window fused distance against the mean graph of the other windows.
 
     ``embeddings`` is (B, N, d) and ``adjacencies`` is (B, N, N); both may be
     Tensors so the returned ``loss_term`` (mean of the enabled cost terms,
     scaled by ``lam``) backpropagates into them with plans held constant.
-
-    ``omega_mode='mean'`` aggregates the other B-1 graphs by element-wise
-    mean; ``'concat'`` keeps them as a disjoint union of (B-1)*N nodes.
+    Window i's reference graph is the element-wise mean of the other B-1
+    windows' embeddings and adjacencies.
     """
     emb = as_tensor(embeddings)
     adj = as_tensor(adjacencies)
@@ -781,47 +754,40 @@ def batch_alignment(
     unknown = set(terms) - {"wd", "gwd"}
     if unknown:
         raise ValueError(f"unknown alignment terms: {sorted(unknown)}")
-    if omega_mode not in ("mean", "concat"):
-        raise ValueError(f"unknown omega_mode: {omega_mode!r}")
 
     emb_np, adj_np = emb.data, adj.data
     n = emb_np.shape[1]
-    m = n if omega_mode == "mean" else (batch - 1) * n
     u = uniform_weights(n)
-    v = u if omega_mode == "mean" else uniform_weights(m)
     emb_sum_np = emb_np.sum(axis=0)
     adj_sum_np = adj_np.sum(axis=0)
 
-    def reference(i):
-        """Reference embeddings and adjacency of window ``i``."""
-        if omega_mode == "mean":
-            return (emb_sum_np - emb_np[i]) / (batch - 1), (adj_sum_np - adj_np[i]) / (batch - 1)
-        others = [k for k in range(batch) if k != i]
-        at = np.zeros((m, m))
-        for slot, k in enumerate(others):
-            at[slot * n : (slot + 1) * n, slot * n : (slot + 1) * n] = adj_np[k]
-        return emb_np[others].reshape(m, -1), at
-
     # all windows advance in lockstep as one stack while the stacked problem is
-    # small (B * N^4 bounds the dense GW difference tensor); otherwise, and in
-    # concat mode, stacks of windows, each stopping by its own rule, run on threads,
-    # as many windows to a stack as keep its GW pseudo-cost tables within the limit
-    lockstep = omega_mode == "mean" and batch * n**4 <= 2_000_000
-    per_window = n * n * m * m if n * n * m * m <= _DENSE_QUARTET_LIMIT else n * m * (m + 1)
+    # small (B * N^4 bounds the dense GW difference tensor); otherwise stacks of
+    # windows, each stopping by its own rule, run on threads, as many windows to
+    # a stack as keep its GW pseudo-cost tables within the limit
+    lockstep = batch * n**4 <= 2_000_000
+    per_window = n**4 if n**4 <= _DENSE_QUARTET_LIMIT else n * n * (n + 1)
     size = batch if lockstep else max(1, _DENSE_QUARTET_LIMIT // per_window)
     stacks = [slice(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
 
     def solve(s):
-        """Both alignments of the windows in slice ``s`` as one stack (private core only: no tape)."""
-        windows = range(batch)[s]
-        refs = [reference(i) for i in windows]
+        """Both alignments of the windows in slice ``s`` as one stack (private core only: no tape).
+
+        The leave-one-out references are built here, for this stack only, and
+        the wd costs one window at a time: references for the whole batch, or
+        one ``cost_matrix`` call over the stack (a (K, N, N, d) difference
+        tensor, 48 MB per stack at K = 15, N = 25, d = 640), raise peak memory
+        on the threaded route.
+        """
         wd = gwd = None
         if "wd" in terms:
-            costs = np.stack([cost_matrix(emb_np[i], xt) for i, (xt, _) in zip(windows, refs)])
-            wd = _sinkhorn(costs, u, v, beta, sink_iter, sink_tol, active_set=not lockstep)
+            refs = (emb_sum_np - emb_np[s]) / (batch - 1)
+            costs = np.stack([cost_matrix(x, r) for x, r in zip(emb_np[s], refs)])
+            wd = _sinkhorn(costs, u, u, beta, sink_iter, sink_tol, active_set=not lockstep)
         if "gwd" in terms:
-            gwd = _entropic_gwd(adj_np[s], np.stack([at for _, at in refs]), u, v, beta, gw_outer,
-                                gw_tol, sink_iter, sink_tol, active_set=not lockstep)
+            refs = (adj_sum_np - adj_np[s]) / (batch - 1)
+            gwd = _entropic_gwd(adj_np[s], refs, u, u, beta, gw_outer, gw_tol, sink_iter, sink_tol,
+                                active_set=not lockstep)
         return wd, gwd
 
     wd_vals = np.zeros(batch)
@@ -831,34 +797,27 @@ def batch_alignment(
     for s, (wd, gwd) in zip(stacks, _in_threads(solve, stacks)):
         if wd is not None:
             wd_vals[s] = wd.objectives
-            wd_plans += [wd.plan(k, u, v) for k in range(len(wd.plans))]
+            wd_plans += [wd.plan(k, u, u) for k in range(len(wd.plans))]
         if gwd is not None:
             gwd_vals[s] = gwd.objectives
-            gwd_plans += [gwd.plan(k, u, v) for k in range(len(gwd.plans))]
+            gwd_plans += [gwd.plan(k, u, u) for k in range(len(gwd.plans))]
 
     total = Tensor(0.0)
     emb_sum = emb.sum(axis=0) if emb.requires_grad else None
     adj_sum = adj.sum(axis=0) if adj.requires_grad else None
     for i in range(batch):
-        xs_t = emb[i] if (emb.requires_grad or adj.requires_grad) else None
         if "wd" in terms:
             if emb.requires_grad:
-                if omega_mode == "mean":
-                    xt_t = mul(sub(emb_sum, xs_t), 1.0 / (batch - 1))
-                else:
-                    xt_t = concat([emb[k] for k in range(batch) if k != i], axis=0)
+                xs_t = emb[i]
+                xt_t = mul(sub(emb_sum, xs_t), 1.0 / (batch - 1))
                 total = total + wd_cost_term(xs_t, xt_t, wd_plans[i].plan)
             else:
                 total = total + Tensor(wd_plans[i].objective)
         if "gwd" in terms:
             if adj.requires_grad:
                 as_t = adj[i]
-                if omega_mode == "mean":
-                    at_t = mul(sub(adj_sum, as_t), 1.0 / (batch - 1))
-                    total = total + gwd_cost_term(as_t, at_t, gwd_plans[i].plan)
-                else:
-                    at_blocks = [adj[k] for k in range(batch) if k != i]
-                    total = total + gwd_cost_term(as_t, at_blocks, gwd_plans[i].plan)
+                at_t = mul(sub(adj_sum, as_t), 1.0 / (batch - 1))
+                total = total + gwd_cost_term(as_t, at_t, gwd_plans[i].plan)
             else:
                 total = total + Tensor(gwd_plans[i].objective)
 

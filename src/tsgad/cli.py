@@ -35,6 +35,7 @@ from .errors import (
 from .graph import adjacency_export
 from .oracles import run_all
 from .train import (
+    ABLATIONS,
     PAPER_SCALE,
     TrainConfig,
     load_checkpoint,
@@ -107,14 +108,10 @@ def _add_train_config_flags(parser):
     parser.add_argument("--lam", type=float, help="alignment weight in the loss")
     parser.add_argument("--beta", type=float, help="entropic regularization weight")
     parser.add_argument("--dropout", type=float)
-    parser.add_argument("--ablation", choices=("full", "no_wd", "no_gwd", "no_ga"))
-    parser.add_argument("--omega-mode", dest="omega_mode", choices=("mean", "concat"))
-    parser.add_argument("--embedding-reduce", dest="embedding_reduce", choices=("concat", "mean"))
+    parser.add_argument("--ablation", choices=tuple(ABLATIONS))
     parser.add_argument("--hidden", type=int, help="recurrent hidden width")
     parser.add_argument("--d-step", dest="d_step", type=int, help="per-step embedding width")
     parser.add_argument("--flow-layers", dest="flow_layers", type=int)
-    parser.add_argument("--flow-init-scale", dest="flow_init_scale", type=float)
-    parser.add_argument("--flow-cond-init-scale", dest="flow_cond_init_scale", type=float)
     parser.add_argument("--encoder-out-scale", dest="encoder_out_scale", type=float)
     parser.add_argument("--grad-clip", dest="grad_clip", type=float)
     parser.add_argument("--score-lambda-scaled", dest="score_lambda_scaled", action="store_true", default=None)

@@ -3,10 +3,10 @@
 Every channel runs through a shared gated recurrent cell (LSTM-style, one
 layer) step by step; at each step the hidden states are mixed across
 channels through the window's adjacency matrix and projected down, and the
-per-step outputs are concatenated (or averaged) over time into the node
-embeddings that condition the flow. The adjacency enters the computation
-directly, so embeddings are a differentiable function of window contents,
-attention parameters, and encoder weights.
+per-step outputs are concatenated over time into the node embeddings that
+condition the flow. The adjacency enters the computation directly, so
+embeddings are a differentiable function of window contents, attention
+parameters, and encoder weights.
 
 With the tape on, ``encode_batch`` is a single tape node (Hochreiter &
 Schmidhuber 1997 for the cell, Werbos 1990 for backpropagation through
@@ -78,22 +78,20 @@ def init_encoder(hidden, d_step, rng, out_scale=1.0):
     )
 
 
-def encode_batch(windows, adjacency, params, reduce="concat"):
+def encode_batch(windows, adjacency, params):
     """Node embeddings for a batch of windows.
 
     ``windows`` is (B, T, N) raw (normalized) values; ``adjacency`` is a
     (B, N, N) Tensor. Per step t the shared cell consumes column t of every
     channel, then the step output is
     ``relu(A @ H_t @ w_mix + H_{t-1} @ w_history) @ w_project`` with a zero
-    hidden state standing in for the step before the window. Returns a
-    (B, N, d) Tensor, d = T * d_step for ``concat`` or d_step for ``mean``;
-    with the tape on it is one node over the adjacency and the parameters.
+    hidden state standing in for the step before the window. Returns the
+    step outputs concatenated over time, a (B, N, T * d_step) Tensor; with
+    the tape on it is one node over the adjacency and the parameters.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError("windows must be (B, T, N)")
-    if reduce not in ("concat", "mean"):
-        raise ValueError(f"reduce must be 'concat' or 'mean', got {reduce!r}")
     n_batch, n_steps, n_chan = windows.shape
     adjacency = ad.as_tensor(adjacency)
     if adjacency.shape != (n_batch, n_chan, n_chan):
@@ -127,13 +125,7 @@ def encode_batch(windows, adjacency, params, reduce="concat"):
         _, relu_in = _readout_input(a, h_now3, h_prev3, w_mix, w_history)
         steps.append(np.matmul(np.maximum(relu_in, 0.0), w_project))
         h_prev3 = h_now3
-    if reduce == "concat":
-        out = np.concatenate(steps, axis=2)
-    else:
-        out = steps[0]
-        for step_out in steps[1:]:
-            out = out + step_out
-        out = out * (1.0 / n_steps)
+    out = np.concatenate(steps, axis=2)
     if not taping:
         return Tensor._make(out, (), None)
 
@@ -148,10 +140,7 @@ def encode_batch(windows, adjacency, params, reduce="concat"):
         for t, (_, _, _, gate_out, c) in enumerate(saved):
             h_now3 = (gate_out * np.tanh(c)).reshape(n_batch, n_chan, h)
             mixed_in, relu_in = _readout_input(a, h_now3, h_prev3, w_mix, w_history)
-            if reduce == "concat":
-                g_out = np.ascontiguousarray(grad[:, :, t * d_step : (t + 1) * d_step])
-            else:
-                g_out = grad
+            g_out = np.ascontiguousarray(grad[:, :, t * d_step : (t + 1) * d_step])
             accumulate(params.w_project, np.matmul(_swap(np.maximum(relu_in, 0.0)), g_out).sum(axis=0))
             g_relu = np.matmul(g_out, _swap(w_project)) * (relu_in > 0.0)
             accumulate(params.w_mix, np.matmul(_swap(mixed_in), g_relu).sum(axis=0))
@@ -191,8 +180,6 @@ def encode_batch(windows, adjacency, params, reduce="concat"):
             d_c_next = d_c * gate_forget
 
     def backward(grad):
-        if reduce == "mean":
-            grad = grad * (1.0 / n_steps)  # every step's output gets this gradient
         recurrence_backward(readout_backward(grad))
 
     return Tensor._make(out, (adjacency,) + weights, backward)

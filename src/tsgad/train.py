@@ -59,13 +59,9 @@ class TrainConfig:
     dropout: float = 0.2
     seed: int = 0
     ablation: str = "full"
-    omega_mode: str = "mean"
-    embedding_reduce: str = "concat"
     hidden: int = 32
     d_step: int = 8
     flow_layers: int = 2
-    flow_init_scale: float = 0.0
-    flow_cond_init_scale: float = 0.0
     encoder_out_scale: float = 1.0
     grad_clip: float = 0.0  # 0 disables clipping
     score_lambda_scaled: bool = False
@@ -103,10 +99,6 @@ class TrainConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {sorted(ABLATIONS)}, got {self.ablation!r}")
-        if self.omega_mode not in ("mean", "concat"):
-            raise ConfigError(f"omega_mode must be 'mean' or 'concat', got {self.omega_mode!r}")
-        if self.embedding_reduce not in ("concat", "mean"):
-            raise ConfigError("embedding_reduce must be 'concat' or 'mean'")
 
     @classmethod
     def from_dict(cls, data):
@@ -136,22 +128,16 @@ class DetectionModel:
 
     @property
     def embedding_dim(self):
-        if self.config.embedding_reduce == "concat":
-            return self.config.window * self.config.d_step
-        return self.config.d_step
+        return self.config.window * self.config.d_step
 
 
 def build_model(config, n_channels, seed=None):
     seed = config.seed if seed is None else seed
-    streams = np.random.SeedSequence(seed).spawn(3)
-    att_rng, enc_rng, flow_rng = (np.random.default_rng(s) for s in streams)
+    att_rng, enc_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     attention = init_attention(config.window, att_rng)
     encoder_params = init_encoder(config.hidden, config.d_step, enc_rng,
                                   out_scale=config.encoder_out_scale)
-    cond_dim = config.window * config.d_step if config.embedding_reduce == "concat" else config.d_step
-    flow = init_flow(config.window, cond_dim, n_layers=config.flow_layers,
-                     rng=flow_rng, scale=config.flow_init_scale,
-                     cond_scale=config.flow_cond_init_scale or None)
+    flow = init_flow(config.window, config.window * config.d_step, n_layers=config.flow_layers)
     return DetectionModel(config=config, n_channels=n_channels,
                           attention=attention, encoder_params=encoder_params, flow=flow)
 
@@ -207,7 +193,7 @@ def _embed(model, windows, training, dropout_rng):
         dropout=cfg.dropout if training else 0.0,
         rng=dropout_rng,
     )
-    embeddings = encode_batch(windows, adjacency, model.encoder_params, reduce=cfg.embedding_reduce)
+    embeddings = encode_batch(windows, adjacency, model.encoder_params)
     return feats, adjacency, embeddings
 
 
@@ -265,14 +251,7 @@ def train(train_ds, config):
             adjacency, embeddings, mean_ll = _forward_batch(model, batch, True, dropout_rng)
             if terms:
                 try:
-                    align = batch_alignment(
-                        embeddings,
-                        adjacency,
-                        lam=cfg.lam,
-                        beta=cfg.beta,
-                        terms=terms,
-                        omega_mode=cfg.omega_mode,
-                    )
+                    align = batch_alignment(embeddings, adjacency, lam=cfg.lam, beta=cfg.beta, terms=terms)
                 except FloatingPointError as exc:
                     raise DivergenceError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
                 loss = align.loss_term - mean_ll
@@ -404,9 +383,7 @@ def _score_windows(model, windows):
                 adj, emb, batch_nll = _eval_forward(model, windows[take])
                 adjacency[out], nll[out] = adj[borrow:], batch_nll[borrow:]
                 if terms:
-                    align = batch_alignment(
-                        emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms, omega_mode=cfg.omega_mode,
-                    )
+                    align = batch_alignment(emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms)
                     wd[out] += align.wd[borrow:] / cfg.score_passes
                     gwd[out] += align.gwd[borrow:] / cfg.score_passes
     scale = cfg.lam if cfg.score_lambda_scaled else 1.0
@@ -504,6 +481,18 @@ def save_checkpoint(checkpoint, path):
         fh.write(body + "\n")
 
 
+# settings older checkpoints record that are gone from TrainConfig, each with
+# the value every run since behaves as: a checkpoint loads when it holds that
+# value and is refused otherwise
+_RETIRED_FIELDS = {
+    "attention_key_index": "j",  # logit i, j pairs query i with key j; "i" made every row uniform
+    "omega_mode": "mean",  # reference graph: mean of the other windows, not their disjoint union
+    "embedding_reduce": "concat",  # embeddings concatenate the step outputs, not their mean
+    "flow_init_scale": 0.0,  # the flow starts as the identity map
+    "flow_cond_init_scale": 0.0,
+}
+
+
 def load_checkpoint(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -524,14 +513,15 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: checkpoint missing sections {sorted(missing)}")
     if not isinstance(data["config"], dict):
         raise CheckpointError(f"{path}: checkpoint config is not a JSON object")
-    # older checkpoints record which key each query meets; only key j (logit
-    # i, j pairs query i with key j) remains, the other value made every
-    # adjacency row uniform by construction
-    legacy = data["config"].pop("attention_key_index", "j")
-    if legacy != "j":
-        raise CheckpointError(
-            f"{path}: config field attention_key_index = {legacy!r} is no longer supported (only 'j')"
-        )
+    for name, kept in _RETIRED_FIELDS.items():
+        if name in data["config"]:
+            value = data["config"].pop(name)
+            # typed as TrainConfig types its fields: JSON false is not 0.0, an integer 0 is
+            same_type = _is_number(value) if isinstance(kept, float) else isinstance(value, str)
+            if not (same_type and value == kept):
+                raise CheckpointError(
+                    f"{path}: config field {name} = {value!r} is no longer supported (only {kept!r})"
+                )
     try:
         TrainConfig.from_dict(data["config"])
     except ConfigError as exc:

@@ -396,22 +396,6 @@ def test_gwd_cost_term_matches_fixed_plan_fd():
         assert relative_error(p.grad, numeric) < 1e-6
 
 
-def test_gwd_cost_term_block_target():
-    rng = np.random.default_rng(4)
-    a_s = Tensor(rng.random((3, 3)), requires_grad=True)
-    blocks = [Tensor(rng.random((3, 3)), requires_grad=True) for _ in range(2)]
-    full = np.zeros((6, 6))
-    full[:3, :3] = blocks[0].data
-    full[3:, 3:] = blocks[1].data
-    plan = entropic_gwd(a_s.data, full, uniform_weights(3), uniform_weights(6),
-                        0.05, outer_iter=30, tol=1e-10).plan
-    loss = gwd_cost_term(a_s, blocks, plan)
-    assert loss.item() == pytest.approx(gwd_cost(a_s.data, full, plan)[0], abs=1e-12)
-    ad.backward(loss)
-    numeric = numeric_gradient(lambda: gwd_cost_term(a_s, blocks, plan).item(), blocks[0])
-    assert relative_error(blocks[0].grad, numeric) < 1e-6
-
-
 # batch alignment against the leave-one-out reference
 
 def _toy_batch(rng, batch=4, n=3, d=2):
@@ -500,14 +484,3 @@ def test_batch_alignment_stack_of_one_route_matches_single_solves():
         gwd = entropic_gwd(adj[i], adj.sum(axis=0) - adj[i], u, u, 0.05)
         np.testing.assert_array_equal(res.gwd_plans[i].plan, gwd.plan)
         assert res.gwd[i] == gwd.objective
-
-
-def test_batch_alignment_concat_mode():
-    rng = np.random.default_rng(10)
-    emb, adj = _toy_batch(rng, batch=3)
-    res = batch_alignment(emb, adj, lam=0.1, beta=0.05, omega_mode="concat")
-    assert len(res.ga) == 3
-    ad.backward(res.loss_term)
-    assert emb.grad is not None and adj.grad is not None
-    with pytest.raises(ValueError, match="omega_mode"):
-        batch_alignment(emb, adj, omega_mode="stack")

@@ -1,13 +1,15 @@
+import argparse
 import base64
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from tsgad.cli import main
+from tsgad.cli import _add_train_config_flags, build_parser, main
 from tsgad.dataio import read_series
 from tsgad.graph import read_adjacency_export
-from tsgad.train import load_checkpoint
+from tsgad.train import ABLATIONS, TrainConfig, load_checkpoint
 
 FAST_TRAIN = [
     "--window", "20", "--stride", "5", "--batch", "4", "--epochs", "1",
@@ -307,6 +309,71 @@ def test_legacy_checkpoint_key_index(tmp_path, capsys):
     assert evaluate(with_key_index("i"), "i") == 2
     assert "attention_key_index" in capsys.readouterr().err
     assert not (tmp_path / "i.scores.csv").exists()
+
+
+# each retired config field: the value every run behaves as, and values a checkpoint is refused for
+RETIRED_FIELDS = [
+    pytest.param("attention_key_index", ["j"], ["i", None], id="attention_key_index"),
+    pytest.param("omega_mode", ["mean"], ["concat", None], id="omega_mode"),
+    pytest.param("embedding_reduce", ["concat"], ["mean", None], id="embedding_reduce"),
+    pytest.param("flow_init_scale", [0.0, 0], [0.5, False, None], id="flow_init_scale"),
+    pytest.param("flow_cond_init_scale", [0.0, 0], [0.5, False, None], id="flow_cond_init_scale"),
+]
+
+
+@pytest.mark.parametrize("name, kept, refused", RETIRED_FIELDS)
+def test_retired_checkpoint_field(tmp_path, capsys, trained, name, kept, refused):
+    data, ckpt = trained
+
+    def with_field(value, tag):
+        return _edit_checkpoint(ckpt, tmp_path / f"{tag}.ckpt.json",
+                                lambda c: c["config"].update({name: value}))
+
+    def outputs(checkpoint, prefix):
+        code = main(["eval", "--data", str(data), "--checkpoint", str(checkpoint),
+                     "--out-prefix", str(tmp_path / prefix),
+                     "--export-graphs", str(tmp_path / f"{prefix}.graphs.csv")])
+        assert code == 0
+        return [(tmp_path / f"{prefix}.{suffix}").read_bytes()
+                for suffix in ("scores.csv", "summary.json", "graphs.csv")]
+
+    current = outputs(ckpt, "current")
+    for k, value in enumerate(kept):
+        assert outputs(with_field(value, f"kept{k}"), f"kept{k}") == current
+    capsys.readouterr()
+    for k, value in enumerate(refused):
+        _eval_exit_2_without_traceback(tmp_path, capsys, data, with_field(value, f"refused{k}"), name)
+
+
+@pytest.mark.parametrize("name", [field.values[0] for field in RETIRED_FIELDS])
+def test_retired_field_in_config_file_or_replay_exit_1(tmp_path, capsys, name):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"window = 20\n{name} = 0\n")
+    train_argv = ["train", "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "m.json"),
+                  "--seed", "3"]
+    assert main([*train_argv, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: unknown config key {name!r}" in err
+    assert "Traceback" not in err
+    # a manifest recorded when the field was a flag
+    manifest = tmp_path / "old.manifest.json"
+    manifest.write_text(json.dumps({"argv": [*train_argv, f"--{name.replace('_', '-')}", "0"]}))
+    assert main(["--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_config_flags_are_the_config_fields():
+    # _resolve_config reads a flag only through its field, so a flag left
+    # behind by a removed field would be parsed and silently dropped
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_train_config_flags(flags)
+    dests = sorted(action.dest for action in flags._actions)
+    assert dests == sorted(f.name for f in fields(TrainConfig) if f.name != "seed")
+    parsed = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json", "--seed", "1"])
+    assert {f.name for f in fields(TrainConfig)} <= set(vars(parsed))
+    assert {a.dest: a.choices for a in flags._actions}["ablation"] == tuple(ABLATIONS)
 
 
 def test_non_finite_score_exit_3(tmp_path, capsys):

@@ -102,9 +102,6 @@ def test_embedding_shapes_concat_and_mean():
     windows = np.random.default_rng(15).normal(size=(3, 7, 4))
     adjacency = Tensor(np.full((3, 4, 4), 0.25))
     assert encode_batch(windows, adjacency, params).shape == (3, 4, 14)
-    assert encode_batch(windows, adjacency, params, reduce="mean").shape == (3, 4, 2)
-    with pytest.raises(ValueError, match="reduce"):
-        encode_batch(windows, adjacency, params, reduce="max")
 
 
 def test_condition_identical_windows_identical():
@@ -132,7 +129,7 @@ def _cell_step(x_col, h_prev, c_prev, params):
     return gate_out * ad.tanh(c), c
 
 
-def _reference_encode(windows, adjacency, params, reduce="concat"):
+def _reference_encode(windows, adjacency, params):
     """The encoder as one tape node per op: the reference for encode_batch's backward."""
     n_batch, n_steps, n_chan = windows.shape
     rows, h = n_batch * n_chan, params.hidden
@@ -140,25 +137,18 @@ def _reference_encode(windows, adjacency, params, reduce="concat"):
     c_state = Tensor(np.zeros((rows, h)))
     h_prev3 = Tensor(np.zeros((n_batch, n_chan, h)))
     steps = []
-    running = None
     for t in range(n_steps):
         x_col = Tensor(windows[:, t, :].reshape(rows, 1))
         h_state, c_state = _cell_step(x_col, h_state, c_state, params)
         h_now3 = ad.reshape(h_state, (n_batch, n_chan, h))
         mixed = ad.matmul(ad.matmul(adjacency, h_now3), params.w_mix)
         history = ad.matmul(h_prev3, params.w_history)
-        step_out = ad.matmul(ad.relu(mixed + history), params.w_project)
-        if reduce == "concat":
-            steps.append(step_out)
-        else:
-            running = step_out if running is None else running + step_out
+        steps.append(ad.matmul(ad.relu(mixed + history), params.w_project))
         h_prev3 = h_now3
-    if reduce == "concat":
-        return ad.concat(steps, axis=2)
-    return running * (1.0 / n_steps)
+    return ad.concat(steps, axis=2)
 
 
-def _gradients(encode, reduce, seed):
+def _gradients(encode, seed):
     """Embeddings and the gradients of a loss that meets the adjacency twice.
 
     The adjacency's other consumer comes first in the loss, so its gradient
@@ -170,7 +160,7 @@ def _gradients(encode, reduce, seed):
     windows = rng.normal(size=(3, 9, 4))
     logits = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
     adjacency = ad.softmax_rows(logits)
-    emb = encode(windows, adjacency, params, reduce=reduce)
+    emb = encode(windows, adjacency, params)
     loss = ad.sum_(adjacency[1] * adjacency[1]) + ad.sum_(ad.tanh(emb) * emb)
     ad.backward(loss)
     grads = {name: t.grad for name, t in params.tensors().items()}
@@ -178,11 +168,10 @@ def _gradients(encode, reduce, seed):
     return emb.data, grads
 
 
-@pytest.mark.parametrize("reduce", ["concat", "mean"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_encode_batch_bit_identical_to_tape_composition(reduce, seed):
-    emb, grads = _gradients(encode_batch, reduce, seed)
-    ref_emb, ref_grads = _gradients(_reference_encode, reduce, seed)
+def test_encode_batch_bit_identical_to_tape_composition(seed):
+    emb, grads = _gradients(encode_batch, seed)
+    ref_emb, ref_grads = _gradients(_reference_encode, seed)
     assert np.array_equal(emb, ref_emb)
     assert set(grads) == set(ref_grads)
     for name, grad in grads.items():
@@ -211,19 +200,6 @@ def test_adjacency_gradient_matches_fd():
         return ad.sum_(emb * emb)
 
     assert gradient_check(loss, [adjacency]) <= 1e-4
-
-
-def test_mean_reduce_gradients_match_fd():
-    params = _encoder(h=3, d_step=2, seed=24)
-    rng = np.random.default_rng(25)
-    windows = rng.normal(size=(2, 4, 3))
-    adjacency = Tensor(rng.uniform(0.1, 0.6, size=(2, 3, 3)), requires_grad=True)
-
-    def loss():
-        emb = encode_batch(windows, adjacency, params, reduce="mean")
-        return ad.sum_(emb * emb)
-
-    assert gradient_check(loss, list(params.tensors().values()) + [adjacency]) <= 1e-4
 
 
 def test_adjacency_shape_must_match_the_batch():
