@@ -34,8 +34,9 @@ the Frobenius alignment error is the same as maximizing the matched inner
 product.
 
 Gradients follow the envelope convention: a converged plan is treated as a
-constant, so the fused distance differentiates through the cost terms only
-(``wd_cost_term`` / ``gwd_cost_term``).
+constant, so the fused distance differentiates through the cost terms only.
+``batch_alignment``'s loss is one tape node over the batch; the pair nodes
+``wd_cost_term`` / ``gwd_cost_term`` share its kernels and serve the gate.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, mul, sub
+from .autodiff import Tensor, _tracking, as_tensor
 
 
 @dataclass
@@ -631,26 +632,36 @@ def alignment_equivalence_check(
 # differentiable cost terms (plans held constant at the converged point)
 
 
-def wd_cost_term(source_embeddings, target_embeddings, plan):
-    """``<plan, cost(X_s, X_t)>`` as a tape node; gradients flow to embeddings."""
-    xs = as_tensor(source_embeddings)
-    xt = as_tensor(target_embeddings)
-    plan = np.asarray(plan, dtype=np.float64)
-    dist = cost_matrix(xs.data, xt.data)
-    out = np.asarray((plan * dist).sum())
+def _scalar_node(parents, value, grads):
+    """``value`` as a tape node over ``parents``; ``grads()`` gives d(value)/d(parent), None for none."""
+    if not _tracking(*parents):
+        return Tensor(value)
 
     def backward(grad):
-        go = float(grad)
-        scale = np.where(dist > 1e-12, plan / np.maximum(dist, 1e-12), 0.0)
-        # the (n, m, d) differences are rebuilt here, not held from the forward
-        diff = xs.data[:, None, :] - xt.data[None, :, :]
-        pulls = np.multiply(diff, scale[:, :, None], out=diff)
-        if xs.requires_grad:
-            xs._accumulate(go * pulls.sum(axis=1))
-        if xt.requires_grad:
-            xt._accumulate(-go * pulls.sum(axis=0))
+        for parent, g in zip(parents, grads()):
+            if parent.requires_grad and g is not None:
+                parent._accumulate(float(grad) * g)
 
-    return Tensor._make(out, (xs, xt), backward)
+    return Tensor._make(np.asarray(value), parents, backward)
+
+
+def _wd_pulls(xs, xt, plans, dist):
+    """Gradients of ``<plans, dist>``, ``dist = cost_matrix(xs, xt)``, w.r.t. xs and xt (or stacks of them).
+
+    In Gram form, ``sum_j s_ij (x_i - y_j) = (sum_j s_ij) x_i - (s @ y)_i`` with ``s = plan / dist``.
+    """
+    scale = np.where(dist > 1e-12, plans / np.maximum(dist, 1e-12), 0.0)
+    pull_s = scale.sum(axis=-1)[..., None] * xs - np.matmul(scale, xt)
+    pull_t = scale.sum(axis=-2)[..., None] * xt - np.matmul(np.swapaxes(scale, -1, -2), xs)
+    return pull_s, pull_t
+
+
+def wd_cost_term(source_embeddings, target_embeddings, plan):
+    """``<plan, cost(X_s, X_t)>`` as a tape node; gradients flow to embeddings."""
+    xs, xt = as_tensor(source_embeddings), as_tensor(target_embeddings)
+    plan = np.asarray(plan, dtype=np.float64)
+    dist = cost_matrix(xs.data, xt.data)
+    return _scalar_node((xs, xt), (plan * dist).sum(), lambda: _wd_pulls(xs.data, xt.data, plan, dist))
 
 
 def _sign_quartet_grads(a_s, a_t, plan):
@@ -673,21 +684,10 @@ def _sign_quartet_grads(a_s, a_t, plan):
 
 def gwd_cost_term(source_adjacency, target_adjacency, plan):
     """Quartet objective as a tape node; gradients flow to both adjacencies."""
-    a_s = as_tensor(source_adjacency)
-    a_t = as_tensor(target_adjacency)
+    a_s, a_t = as_tensor(source_adjacency), as_tensor(target_adjacency)
     plan = np.asarray(plan, dtype=np.float64)
-    objective, _ = gwd_cost(a_s.data, a_t.data, plan)
-    out = np.asarray(objective)
-
-    def backward(grad):
-        go = float(grad)
-        grad_s, grad_t = _sign_quartet_grads(a_s.data, a_t.data, plan)
-        if a_s.requires_grad:
-            a_s._accumulate(go * grad_s)
-        if a_t.requires_grad:
-            a_t._accumulate(go * grad_t)
-
-    return Tensor._make(out, (a_s, a_t), backward)
+    return _scalar_node((a_s, a_t), gwd_cost(a_s.data, a_t.data, plan)[0],
+                        lambda: _sign_quartet_grads(a_s.data, a_t.data, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +723,11 @@ class BatchAlignment:
     gwd_plans: list = field(default_factory=list, repr=False)
 
 
+def _leave_one_out(total, parts, batch):
+    """``(total - parts[i]) / (batch - 1)``: for each window i, the mean of the other windows' parts."""
+    return (total - parts) / (batch - 1)
+
+
 def batch_alignment(
     embeddings,
     adjacencies,
@@ -737,10 +742,11 @@ def batch_alignment(
     """Per-window fused distance against the mean graph of the other windows.
 
     ``embeddings`` is (B, N, d) and ``adjacencies`` is (B, N, N); both may be
-    Tensors so the returned ``loss_term`` (mean of the enabled cost terms,
-    scaled by ``lam``) backpropagates into them with plans held constant.
-    Window i's reference graph is the element-wise mean of the other B-1
-    windows' embeddings and adjacencies.
+    Tensors. Window i's reference graph is the element-wise mean of the other
+    B-1 windows' embeddings and adjacencies. ``loss_term``, ``lam`` times the
+    mean of the enabled terms' objectives, is one tape node at any B: with the
+    plans held constant, its backward applies the leave-one-out chain rule in
+    closed form, as window i's reference does not depend on window i.
     """
     emb = as_tensor(embeddings)
     adj = as_tensor(adjacencies)
@@ -771,59 +777,54 @@ def batch_alignment(
     stacks = [slice(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
 
     def solve(s):
-        """Both alignments of the windows in slice ``s`` as one stack (private core only: no tape).
+        """The wd costs and both alignments of the windows in slice ``s`` as one stack.
 
-        The leave-one-out references are built here, for this stack only, and
-        the wd costs one window at a time: references for the whole batch, or
-        one ``cost_matrix`` call over the stack (a (K, N, N, d) difference
-        tensor, 48 MB per stack at K = 15, N = 25, d = 640), raise peak memory
-        on the threaded route.
+        References are built per stack and wd costs per window: whole-batch references,
+        or one ``cost_matrix`` call over the stack (a (K, N, N, d) difference tensor,
+        48 MB at K = 15, N = 25, d = 640), raise peak memory on the threaded route.
         """
-        wd = gwd = None
+        costs = wd = gwd = None
         if "wd" in terms:
-            refs = (emb_sum_np - emb_np[s]) / (batch - 1)
+            refs = _leave_one_out(emb_sum_np, emb_np[s], batch)
             costs = np.stack([cost_matrix(x, r) for x, r in zip(emb_np[s], refs)])
             wd = _sinkhorn(costs, u, u, beta, sink_iter, sink_tol, active_set=not lockstep)
         if "gwd" in terms:
-            refs = (adj_sum_np - adj_np[s]) / (batch - 1)
+            refs = _leave_one_out(adj_sum_np, adj_np[s], batch)
             gwd = _entropic_gwd(adj_np[s], refs, u, u, beta, gw_outer, gw_tol, sink_iter, sink_tol,
                                 active_set=not lockstep)
-        return wd, gwd
+        return costs, wd, gwd
 
     wd_vals = np.zeros(batch)
     gwd_vals = np.zeros(batch)
+    wd_costs = np.empty((batch, n, n))
     wd_plans = []
     gwd_plans = []
-    for s, (wd, gwd) in zip(stacks, _in_threads(solve, stacks)):
+    for s, (costs, wd, gwd) in zip(stacks, _in_threads(solve, stacks)):
         if wd is not None:
+            wd_costs[s] = costs
             wd_vals[s] = wd.objectives
             wd_plans += [wd.plan(k, u, u) for k in range(len(wd.plans))]
         if gwd is not None:
             gwd_vals[s] = gwd.objectives
             gwd_plans += [gwd.plan(k, u, u) for k in range(len(gwd.plans))]
-
-    total = Tensor(0.0)
-    emb_sum = emb.sum(axis=0) if emb.requires_grad else None
-    adj_sum = adj.sum(axis=0) if adj.requires_grad else None
-    for i in range(batch):
-        if "wd" in terms:
-            if emb.requires_grad:
-                xs_t = emb[i]
-                xt_t = mul(sub(emb_sum, xs_t), 1.0 / (batch - 1))
-                total = total + wd_cost_term(xs_t, xt_t, wd_plans[i].plan)
-            else:
-                total = total + Tensor(wd_plans[i].objective)
-        if "gwd" in terms:
-            if adj.requires_grad:
-                as_t = adj[i]
-                at_t = mul(sub(adj_sum, as_t), 1.0 / (batch - 1))
-                total = total + gwd_cost_term(as_t, at_t, gwd_plans[i].plan)
-            else:
-                total = total + Tensor(gwd_plans[i].objective)
-
     ga_vals = lam * (wd_vals + gwd_vals)
-    loss_term = mul(total, lam / batch)
+
+    def chain(source, reference):
+        """Window k's gradient: its source pull plus the mean of the other windows' reference pulls."""
+        return lam / batch * (source + _leave_one_out(reference.sum(axis=0), reference, batch))
+
+    def grads():
+        wd_grad = gwd_grad = None
+        if "wd" in terms and emb.requires_grad:
+            refs = _leave_one_out(emb_sum_np, emb_np, batch)
+            wd_grad = chain(*_wd_pulls(emb_np, refs, np.stack([p.plan for p in wd_plans]), wd_costs))
+        if "gwd" in terms and adj.requires_grad:
+            refs = _leave_one_out(adj_sum_np, adj_np, batch)
+            pairs = [_sign_quartet_grads(a, r, p.plan) for a, r, p in zip(adj_np, refs, gwd_plans)]
+            gwd_grad = chain(*(np.stack(g) for g in zip(*pairs)))
+        return wd_grad, gwd_grad
+
     return BatchAlignment(
         wd=wd_vals, gwd=gwd_vals, ga=ga_vals,
-        loss_term=loss_term, wd_plans=wd_plans, gwd_plans=gwd_plans,
+        loss_term=_scalar_node((emb, adj), ga_vals.mean(), grads), wd_plans=wd_plans, gwd_plans=gwd_plans,
     )

@@ -114,25 +114,14 @@ def _add_train_config_flags(parser):
     parser.add_argument("--flow-layers", dest="flow_layers", type=int)
     parser.add_argument("--encoder-out-scale", dest="encoder_out_scale", type=float)
     parser.add_argument("--grad-clip", dest="grad_clip", type=float)
-    parser.add_argument("--score-lambda-scaled", dest="score_lambda_scaled", action="store_true", default=None)
     parser.add_argument("--score-passes", dest="score_passes", type=int)
     parser.add_argument("--split-fraction", dest="split_fraction", type=float)
-
-
-def _parse_bool(text):
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise ValueError(text)
 
 
 # TrainConfig field annotation -> (parser, what its values must be)
 _FIELD_PARSERS = {
     "int": (int, "an integer"),
     "float": (float, "a number"),
-    "bool": (_parse_bool, "one of 1/0/true/false/yes/no"),
     "str": (str, "text"),
 }
 
@@ -140,21 +129,25 @@ _FIELD_PARSERS = {
 def _read_config_file(path):
     types = {f.name: f.type for f in fields(TrainConfig)}
     typed = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in types:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            parse, expected = _FIELD_PARSERS[types[key]]
-            try:
-                typed[key] = parse(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} = {value!r} is not {expected}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in types:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        parse, expected = _FIELD_PARSERS[types[key]]
+        try:
+            typed[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} = {value!r} is not {expected}") from None
     return typed
 
 
@@ -417,6 +410,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"tsgad: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:  # a directory or unwritable path given for a file
+        print(f"tsgad: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (DivergenceError, FloatingPointError) as exc:
         print(f"tsgad: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -68,38 +68,40 @@ def read_series(path, label_column="label"):
     treated as normal.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except IsADirectoryError:
         raise DataFormatError(f"{path}: is a directory, not a CSV file") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        label_idx = header.index(label_column) if label_column in header else None
-        channel_names = [h for i, h in enumerate(header) if i != label_idx]
-        if len(channel_names) < 2:
-            raise DataFormatError(f"{path}: need at least 2 channel columns")
-        rows = []
-        labels = []
-        for r, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            vals = []
-            for c, cell in enumerate(row):
-                if c == label_idx:
-                    if cell not in ("0", "1"):
-                        raise DataFormatError(f"{path}: row {r}, column {header[c]!r}: label must be 0 or 1")
-                    labels.append(int(cell))
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {r}, column {header[c]!r}: non-numeric cell {cell!r}"
-                    ) from None
-            rows.append(vals)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    label_idx = header.index(label_column) if label_column in header else None
+    channel_names = [h for i, h in enumerate(header) if i != label_idx]
+    if len(channel_names) < 2:
+        raise DataFormatError(f"{path}: need at least 2 channel columns")
+    rows = []
+    labels = []
+    for r, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+        vals = []
+        for c, cell in enumerate(row):
+            if c == label_idx:
+                if cell not in ("0", "1"):
+                    raise DataFormatError(f"{path}: row {r}, column {header[c]!r}: label must be 0 or 1")
+                labels.append(int(cell))
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {r}, column {header[c]!r}: non-numeric cell {cell!r}"
+                ) from None
+        rows.append(vals)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)

@@ -64,7 +64,6 @@ class TrainConfig:
     flow_layers: int = 2
     encoder_out_scale: float = 1.0
     grad_clip: float = 0.0  # 0 disables clipping
-    score_lambda_scaled: bool = False
     score_passes: int = 3  # alignment-term averaging over scoring batch compositions
     split_fraction: float = 0.6
 
@@ -76,7 +75,7 @@ class TrainConfig:
             elif f.type == "int":
                 kind, ok = "an integer", isinstance(value, numbers.Integral) and not isinstance(value, bool)
             else:
-                kind, ok = f"a {f.type}", isinstance(value, {"str": str, "bool": bool}[f.type])
+                kind, ok = "a str", isinstance(value, str)
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         for name in ("window", "stride", "batch_size", "epochs", "hidden", "d_step", "flow_layers"):
@@ -386,8 +385,7 @@ def _score_windows(model, windows):
                     align = batch_alignment(emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms)
                     wd[out] += align.wd[borrow:] / cfg.score_passes
                     gwd[out] += align.gwd[borrow:] / cfg.score_passes
-    scale = cfg.lam if cfg.score_lambda_scaled else 1.0
-    d_ga = scale * (wd + gwd)
+    d_ga = wd + gwd
     scores = d_ga + nll
     bad = int((~np.isfinite(scores)).sum())
     if bad:
@@ -490,6 +488,7 @@ _RETIRED_FIELDS = {
     "embedding_reduce": "concat",  # embeddings concatenate the step outputs, not their mean
     "flow_init_scale": 0.0,  # the flow starts as the identity map
     "flow_cond_init_scale": 0.0,
+    "score_lambda_scaled": False,  # the alignment term enters the score unscaled by lam
 }
 
 
@@ -516,8 +515,9 @@ def load_checkpoint(path):
     for name, kept in _RETIRED_FIELDS.items():
         if name in data["config"]:
             value = data["config"].pop(name)
-            # typed as TrainConfig types its fields: JSON false is not 0.0, an integer 0 is
-            same_type = _is_number(value) if isinstance(kept, float) else isinstance(value, str)
+            # typed as TrainConfig typed its fields: JSON false is not 0.0 but an integer 0 is,
+            # and neither 0 nor null is false
+            same_type = _is_number(value) if isinstance(kept, float) else type(value) is type(kept)
             if not (same_type and value == kept):
                 raise CheckpointError(
                     f"{path}: config field {name} = {value!r} is no longer supported (only {kept!r})"

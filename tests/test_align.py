@@ -456,6 +456,70 @@ def test_batch_alignment_loss_term_matches_values():
     assert adj.grad is not None and np.any(adj.grad != 0.0)
 
 
+def _fixed_plan_objective(emb, adj, res, lam, terms):
+    """``lam/B sum_i (<P_i, cost(x_i, r_i)> + gwd_cost(A_i, R_i, Q_i))`` at the plans of ``res``."""
+    batch = len(emb)
+    total = 0.0
+    for i in range(batch):
+        if "wd" in terms:
+            ref = (emb.sum(axis=0) - emb[i]) / (batch - 1)
+            total += (res.wd_plans[i].plan * cost_matrix(emb[i], ref)).sum()
+        if "gwd" in terms:
+            ref = (adj.sum(axis=0) - adj[i]) / (batch - 1)
+            total += gwd_cost(adj[i], ref, res.gwd_plans[i].plan)[0]
+    return lam * total / batch
+
+
+def _central_differences(func, param, entries, eps):
+    flat = param.data.reshape(-1)
+    out = []
+    for k in entries:
+        orig = flat[k]
+        flat[k] = orig + eps
+        hi = func()
+        flat[k] = orig - eps
+        lo = func()
+        flat[k] = orig
+        out.append((hi - lo) / (2.0 * eps))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("terms", [("wd", "gwd"), ("wd",), ("gwd",)], ids=["full", "wd", "gwd"])
+@pytest.mark.parametrize("batch, n, sample", [(4, 3, None), (4, 27, 8)], ids=["lockstep", "per-window"])
+def test_batch_alignment_loss_term_gradient_matches_fixed_plan_fd(terms, batch, n, sample):
+    # B N^4 = 324 takes the lockstep stack, 2.1e6 the per-window stacks; there a fixed
+    # sample of entries keeps the differences quick. The gwd objective is piecewise
+    # linear in the adjacencies, so a small step keeps clear of its kinks; each
+    # input is differenced through the one term that depends on it, so that the
+    # other term's round-off does not swamp the small step.
+    rng = np.random.default_rng(20 + n)
+    emb, adj = _toy_batch(rng, batch=batch, n=n)
+    lam = 0.1
+    res = batch_alignment(emb, adj, lam=lam, beta=0.05, terms=terms)
+    assert res.loss_term.item() == pytest.approx(
+        _fixed_plan_objective(emb.data, adj.data, res, lam, terms), rel=1e-12)
+    ad.backward(res.loss_term)
+    for param, term in ((emb, "wd"), (adj, "gwd")):
+        if term not in terms:
+            assert param.grad is None
+            continue
+        size = param.data.size
+        entries = np.arange(size) if sample is None else np.random.default_rng(0).choice(size, sample, False)
+        numeric = _central_differences(
+            lambda: _fixed_plan_objective(emb.data, adj.data, res, lam, (term,)), param, entries, eps=1e-7)
+        assert relative_error(param.grad.reshape(-1)[entries], numeric) < 1e-6
+
+
+def test_batch_alignment_loss_term_is_one_tape_node():
+    rng = np.random.default_rng(10)
+    sizes = []
+    for batch in (4, 8):
+        emb, adj = _toy_batch(rng, batch=batch)
+        res = batch_alignment(emb, adj, lam=0.1, beta=0.05)
+        sizes.append(len(ad._topo_order(res.loss_term)))
+    assert sizes == [3, 3]  # the loss node and its two leaves
+
+
 def test_batch_alignment_term_selection():
     rng = np.random.default_rng(9)
     emb, adj = _toy_batch(rng)

@@ -2,10 +2,12 @@ import argparse
 import base64
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tsgad import cli
 from tsgad.cli import _add_train_config_flags, build_parser, main
 from tsgad.dataio import read_series
 from tsgad.graph import read_adjacency_export
@@ -103,7 +105,7 @@ def test_train_missing_data_file_exit_2(tmp_path, capsys):
 
 def test_config_file_malformed_value_exit_1(tmp_path, capsys):
     data = _synth(tmp_path)
-    for line in ("epochs = ten", "score_lambda_scaled = maybe"):
+    for line in ("epochs = ten", "lam = 0.1.2"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"window = 20\n{line}\n")
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
@@ -318,6 +320,7 @@ RETIRED_FIELDS = [
     pytest.param("embedding_reduce", ["concat"], ["mean", None], id="embedding_reduce"),
     pytest.param("flow_init_scale", [0.0, 0], [0.5, False, None], id="flow_init_scale"),
     pytest.param("flow_cond_init_scale", [0.0, 0], [0.5, False, None], id="flow_cond_init_scale"),
+    pytest.param("score_lambda_scaled", [False], [True, 0, None], id="score_lambda_scaled"),
 ]
 
 
@@ -460,3 +463,41 @@ def test_malformed_checkpoint_field_exit_2(tmp_path, capsys, trained, mention, e
 def test_data_path_is_a_directory_exit_2(tmp_path, capsys, trained):
     _, ckpt = trained
     _eval_exit_2_without_traceback(tmp_path, capsys, tmp_path, ckpt, "is a directory")
+
+
+def _not_utf8(path, text):
+    path.write_bytes(text.encode() + b"\xff\xfe\n")
+    return path
+
+
+def _train_argv(data, out, *extra):
+    return ["train", "--data", str(data), "--out", str(out), "--seed", "3", *FAST_TRAIN, *extra]
+
+
+# each case: the exit code, and (data, checkpoint, tmp dir) -> (argv, the malformed path)
+@pytest.mark.parametrize("code, case", [
+    pytest.param(1, lambda d, c, t: (_train_argv(d, t / "m.json", "--config", str(t)), t),
+                 id="config-directory"),
+    pytest.param(1, lambda d, c, t: (["--manifest", str(t)], t), id="manifest-directory"),
+    pytest.param(1, lambda d, c, t: (_train_argv(d, t / "m.json", "--config",
+                                                 str(_not_utf8(t / "bad.cfg", "window = 20\n"))),
+                                     t / "bad.cfg"), id="config-not-utf8"),
+    pytest.param(2, lambda d, c, t: (_train_argv(_not_utf8(t / "bad.csv", d.read_text()), t / "m.json"),
+                                     t / "bad.csv"), id="data-not-utf8"),
+    pytest.param(1, lambda d, c, t: (["synth", "--seed", "1", "--out", str(t)], t), id="synth-out-directory"),
+    pytest.param(1, lambda d, c, t: (_train_argv(d, t), t), id="train-out-directory"),
+    pytest.param(1, lambda d, c, t: (_train_argv(d, t / "m.json", "--loss-curve", str(t)), t),
+                 id="loss-curve-directory"),
+    pytest.param(1, lambda d, c, t: (["score", "--data", str(d), "--checkpoint", str(c),
+                                      "--out-prefix", str(t / "s"), "--export-graphs", str(t)], t),
+                 id="export-graphs-directory"),
+    pytest.param(1, lambda d, c, t: (["oracle", "--out", str(t)], t), id="oracle-out-directory"),
+])
+def test_malformed_path_exits_with_one_line(tmp_path, capsys, monkeypatch, trained, code, case):
+    # the suites would run before the output is opened; only the path is under test here
+    monkeypatch.setattr(cli, "run_all", lambda **_: [])
+    argv, bad_path = case(*trained, tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("tsgad: ") and str(bad_path) in err

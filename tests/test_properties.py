@@ -155,6 +155,18 @@ def test_cli_corrupted_checkpoint_field_exits_cleanly(cli_inputs, data):
     assert "Traceback" not in err
 
 
+def _is_utf8(raw):
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+# byte sequences that do not decode as UTF-8
+NOT_UTF8 = st.binary(min_size=1, max_size=4).filter(lambda raw: not _is_utf8(raw))
+
+
 @PROPERTY
 @given(data=st.data())
 def test_cli_corrupted_csv_cell_exits_cleanly(cli_inputs, data):
@@ -169,11 +181,15 @@ def test_cli_corrupted_csv_cell_exits_cleanly(cli_inputs, data):
         bad = ["2", "-1", "0.5", "", "x", "nan"]
     else:
         bad = ["nan", "inf", "-inf", "1e999", "", "x", "1,2"]
-    cells[column] = data.draw(st.sampled_from(bad))
+    cell = data.draw(st.one_of(st.sampled_from(bad).map(str.encode), NOT_UTF8))
+    cells[column] = cell.decode("utf-8", "surrogateescape")  # undecodable bytes survive the round trip
     lines[row] = ",".join(cells)
     with tempfile.TemporaryDirectory() as tmp:
         broken = Path(tmp) / "broken.csv"
-        broken.write_text("\n".join(lines) + "\n")
+        broken.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         code, err = _eval_exit_code(broken, ckpt, tmp)
-    assert code in (1, 2, 3), (row, column, cells[column], code)
+    if _is_utf8(cell):
+        assert code in (1, 2, 3), (row, column, cell, code)
+    else:
+        assert code == 2, (row, column, cell, code)
     assert "Traceback" not in err

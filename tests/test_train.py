@@ -281,16 +281,6 @@ def test_constant_data_scores_constant_no_predictions():
     assert report.predicted.sum() == 0
 
 
-def test_score_lambda_scaled_flag():
-    train_ds, test_ds = _tiny_training_pair(anomalies=[("spike", 300, 330)])
-    raw_result = train(train_ds, TrainConfig(**DESK))
-    scaled_cfg = TrainConfig(score_lambda_scaled=True, **DESK)
-    scaled_result = train(train_ds, scaled_cfg)
-    raw = score(test_ds, raw_result.checkpoint)
-    scaled = score(test_ds, scaled_result.checkpoint)
-    np.testing.assert_allclose(scaled.d_ga, scaled_cfg.lam * raw.d_ga, atol=1e-10)
-
-
 # checkpoint round trips
 
 def test_checkpoint_roundtrip_bytes(tmp_path):
