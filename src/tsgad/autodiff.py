@@ -304,10 +304,24 @@ def relu(a):
     return Tensor._make(out_data, (a,), backward)
 
 
-def sigmoid_array(x):
-    """The logistic function of a numpy array; the one kernel every sigmoid here uses."""
-    e = np.exp(-np.abs(x))  # never overflows: exp(-x) for x >= 0, exp(x) below
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid_array(x, out=None, scratch=None):
+    """The logistic function of a numpy array; the one kernel every sigmoid here uses.
+
+    Branch-free: with e = exp(-|x|), which never overflows and is at most 1,
+    ``max(e, x >= 0)`` is 1 for x >= 0 and e below, so the quotient by 1 + e is
+    exactly ``1/(1 + e)`` or ``e/(1 + e)``. ``out`` (which may be ``x``) and
+    ``scratch`` are float64 arrays of x's shape; given both, nothing is allocated.
+    """
+    x = np.asarray(x)
+    e = np.empty(x.shape) if scratch is None else scratch
+    out = np.empty(x.shape) if out is None else out
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(e, out, out=out)
+    np.add(e, 1.0, out=e)
+    return np.divide(out, e, out=out)
 
 
 def sigmoid(a):

@@ -10,8 +10,10 @@ output; ``tsgad --manifest <file>`` replays the recorded run. Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -87,6 +89,28 @@ def _write_manifest(path, command, argv, config, inputs, outputs, seed, timings)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def _check_outputs(*paths):
+    """Refuse, before any work starts, an output path that open() would refuse.
+
+    Raises the OSError that opening the path for writing would raise, so the
+    message and exit code are those of a failed write, and no earlier output
+    of the command has been written yet.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _parse_interval(text, kind):
@@ -198,9 +222,12 @@ def _format_float(x):
     return repr(float(x))
 
 
+def _score_paths(out_prefix):
+    return f"{out_prefix}.scores.csv", f"{out_prefix}.summary.json"
+
+
 def _write_score_outputs(report, offset, out_prefix):
-    scores_path = f"{out_prefix}.scores.csv"
-    summary_path = f"{out_prefix}.summary.json"
+    scores_path, summary_path = _score_paths(out_prefix)
     with open(scores_path, "w", encoding="utf-8") as fh:
         fh.write("window_start,label,d_ga,nll,score,predicted\n")
         for i in range(len(report.scores)):
@@ -223,6 +250,7 @@ def _write_score_outputs(report, offset, out_prefix):
 
 def cmd_synth(args, argv):
     t0 = time.time()
+    _check_outputs(args.out, f"{args.out}.manifest.json")
     spec = [_parse_interval(s, "interdependency_shift") for s in args.shift or []]
     spec += [_parse_interval(s, "spike") for s in args.spike or []]
     ds = synth_generate(
@@ -243,6 +271,9 @@ def cmd_synth(args, argv):
 
 def cmd_train(args, argv):
     t0 = time.time()
+    curve_path = args.loss_curve or f"{args.out}.loss.csv"
+    manifest_path = f"{args.out}.manifest.json"
+    _check_outputs(args.out, curve_path, manifest_path)
     config = _resolve_config(args)
     train_ds, _ = (
         split_normalize(read_series(args.data, label_column=args.label_column), config.split_fraction)
@@ -251,13 +282,12 @@ def cmd_train(args, argv):
     result = train(train_ds, config)
     t_train = time.time() - t0 - t_load
     save_checkpoint(result.checkpoint, args.out)
-    curve_path = args.loss_curve or f"{args.out}.loss.csv"
     with open(curve_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,batch,loss\n")
         for epoch, batch, loss in result.loss_curve:
             fh.write(f"{epoch},{batch},{_format_float(loss)}\n")
     manifest = _write_manifest(
-        f"{args.out}.manifest.json", "train", argv, asdict(config),
+        manifest_path, "train", argv, asdict(config),
         [args.data], [args.out, curve_path], config.seed,
         {"load": t_load, "train": t_train, "total": time.time() - t0},
     )
@@ -270,6 +300,8 @@ def cmd_train(args, argv):
 
 def _run_scoring(args, argv, command):
     t0 = time.time()
+    manifest_path = f"{args.out_prefix}.manifest.json"
+    _check_outputs(*_score_paths(args.out_prefix), args.export_graphs, manifest_path)
     checkpoint = load_checkpoint(args.checkpoint)
     config = TrainConfig.from_dict(checkpoint["config"])
     full = read_series(args.data, label_column=args.label_column)
@@ -285,7 +317,7 @@ def _run_scoring(args, argv, command):
         adjacency_export(report.window_starts + offset, report.adjacency, args.export_graphs)
         outputs.append(args.export_graphs)
     manifest = _write_manifest(
-        f"{args.out_prefix}.manifest.json", command, argv, asdict(config),
+        manifest_path, command, argv, asdict(config),
         [args.data, args.checkpoint], outputs, config.seed, {"total": time.time() - t0},
     )
     auc_text = "n/a" if report.auc is None else f"{report.auc:.4f}"
@@ -298,6 +330,8 @@ def _run_scoring(args, argv, command):
 
 def cmd_oracle(args, argv):
     t0 = time.time()
+    manifest_path = f"{args.out}.manifest.json" if args.out else None
+    _check_outputs(args.out, manifest_path)
     results = run_all(seeds=args.seeds, inject_fault=args.inject_fault)
     all_passed = True
     for suite in results:
@@ -313,7 +347,7 @@ def cmd_oracle(args, argv):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(results, sort_keys=True, indent=2, default=str) + "\n")
         _write_manifest(
-            f"{args.out}.manifest.json", "oracle", argv, {"seeds": args.seeds},
+            manifest_path, "oracle", argv, {"seeds": args.seeds},
             [], [args.out], args.seeds, {"total": time.time() - t0},
         )
     return EXIT_OK if all_passed else EXIT_SUITE

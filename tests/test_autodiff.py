@@ -49,13 +49,26 @@ def test_sigmoid_symmetry():
 
 
 def test_sigmoid_matches_masked_reference_bitwise():
-    x = np.concatenate([np.random.default_rng(2).normal(size=200) * 40.0,
-                        [0.0, -0.0, 800.0, -800.0, 710.0, -745.0, 5e-324, -5e-324]])
-    ref = np.empty_like(x)
-    pos = x >= 0.0
-    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ref[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
-    np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, ref)
+    rng = np.random.default_rng(2)
+    edge = np.concatenate([rng.normal(size=200) * 40.0,
+                           [0.0, -0.0, 800.0, -800.0, 710.0, -745.0, 5e-324, -5e-324,
+                            np.inf, -np.inf, np.nan, 1e-300, -1e-300]])
+    signs = rng.normal(size=(6400, 32)) * 8.0  # a gate-sized array of random signs
+    for x in (edge, signs):
+        ref = np.empty_like(x)
+        pos = x >= 0.0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ref[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        got = ad.sigmoid(Tensor(x)).data
+        number = ~np.isnan(ref)  # a NaN's sign bit carries no meaning
+        assert np.array_equal(np.isnan(got), ~number)
+        assert np.array_equal(got[number].view(np.uint64), ref[number].view(np.uint64))
+        # the allocation-free path, into a separate array and in place
+        out, in_place = np.empty_like(x), x.copy()
+        ad.sigmoid_array(x, out=out, scratch=np.empty_like(x))
+        ad.sigmoid_array(in_place, out=in_place, scratch=np.empty_like(x))
+        for other in (out, in_place):
+            assert np.array_equal(other.view(np.uint64), got.view(np.uint64))
     assert ad.sigmoid(Tensor([-0.0])).data[0] == 0.5
     assert ad.sigmoid(Tensor([800.0])).data[0] == 1.0
     assert ad.sigmoid(Tensor([-800.0])).data[0] == 0.0

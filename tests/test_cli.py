@@ -493,11 +493,48 @@ def _train_argv(data, out, *extra):
                  id="export-graphs-directory"),
     pytest.param(1, lambda d, c, t: (["oracle", "--out", str(t)], t), id="oracle-out-directory"),
 ])
-def test_malformed_path_exits_with_one_line(tmp_path, capsys, monkeypatch, trained, code, case):
-    # the suites would run before the output is opened; only the path is under test here
-    monkeypatch.setattr(cli, "run_all", lambda **_: [])
+def test_malformed_path_exits_with_one_line(tmp_path, capsys, trained, code, case):
     argv, bad_path = case(*trained, tmp_path)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("tsgad: ") and str(bad_path) in err
+
+
+def _refuse(*_, **__):
+    raise AssertionError("the work started before the output paths were checked")
+
+
+def _mkdir(path):
+    path.mkdir()
+    return path
+
+
+def _score_argv(command, data, checkpoint, prefix, *extra):
+    return [command, "--data", str(data), "--checkpoint", str(checkpoint), "--out-prefix", str(prefix), *extra]
+
+
+# each case: (data, checkpoint, empty output dir) -> (argv, the directory given for a file)
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda d, c, o: (_train_argv(d, o), o), id="train-out"),
+    pytest.param(lambda d, c, o: (_train_argv(d, o / "m.json", "--loss-curve", str(o)), o), id="train-loss-curve"),
+    pytest.param(lambda d, c, o: (_train_argv(d, o / "m.json"), _mkdir(o / "m.json.manifest.json")),
+                 id="train-manifest"),
+    pytest.param(lambda d, c, o: (_score_argv("score", d, c, o / "s"), _mkdir(o / "s.summary.json")),
+                 id="score-summary"),
+    pytest.param(lambda d, c, o: (_score_argv("eval", d, c, o / "s", "--export-graphs", str(o)), o),
+                 id="eval-export-graphs"),
+    pytest.param(lambda d, c, o: (["oracle", "--out", str(o)], o), id="oracle-out"),
+    pytest.param(lambda d, c, o: (["oracle", "--out", str(o / "r.json")], _mkdir(o / "r.json.manifest.json")),
+                 id="oracle-manifest"),
+])
+def test_unusable_output_path_stops_before_the_work(tmp_path, capsys, monkeypatch, trained, case):
+    for name in ("train", "score", "run_all"):
+        monkeypatch.setattr(cli, name, _refuse)
+    out = _mkdir(tmp_path / "out")
+    argv, bad_path = case(*trained, out)
+    before = sorted(out.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"tsgad: cannot use {bad_path}: "), err
+    assert sorted(out.rglob("*")) == before  # nothing written

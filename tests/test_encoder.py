@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsgad import autodiff as ad
+from tsgad import encoder
 from tsgad.autodiff import Tensor
 from tsgad.checks import gradient_check
 from tsgad.encoder import encode_batch, init_encoder
@@ -148,17 +149,24 @@ def _reference_encode(windows, adjacency, params):
     return ad.concat(steps, axis=2)
 
 
-def _gradients(encode, seed):
+def _inputs(seed, shape):
+    """Encoder parameters, (B, T, N) windows and (B, N, N) adjacency logits."""
+    rng = np.random.default_rng(seed)
+    params = init_encoder(5, 3, np.random.default_rng(seed + 1), out_scale=4.0)
+    windows = rng.normal(size=shape)
+    n_batch, _, n_chan = shape
+    logits = Tensor(rng.normal(size=(n_batch, n_chan, n_chan)), requires_grad=True)
+    return params, windows, logits
+
+
+def _gradients(encode, seed, shape=(3, 9, 4)):
     """Embeddings and the gradients of a loss that meets the adjacency twice.
 
     The adjacency's other consumer comes first in the loss, so its gradient
     reaches the adjacency before the encoder's per-step gradients do, as
     alignment's does in training; the order of that sum is then pinned.
     """
-    rng = np.random.default_rng(seed)
-    params = init_encoder(5, 3, np.random.default_rng(seed + 1), out_scale=4.0)
-    windows = rng.normal(size=(3, 9, 4))
-    logits = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
+    params, windows, logits = _inputs(seed, shape)
     adjacency = ad.softmax_rows(logits)
     emb = encode(windows, adjacency, params)
     loss = ad.sum_(adjacency[1] * adjacency[1]) + ad.sum_(ad.tanh(emb) * emb)
@@ -176,6 +184,50 @@ def test_encode_batch_bit_identical_to_tape_composition(seed):
     assert set(grads) == set(ref_grads)
     for name, grad in grads.items():
         assert np.array_equal(grad, ref_grads[name]), name
+
+
+def test_multi_block_forward_bit_identical_to_tape_composition(monkeypatch):
+    """Blocks split only windows: a ragged multi-block run changes no bit of
+    the embeddings or of any gradient, and the no-grad forward matches."""
+    shape = (19, 7, 4)
+    monkeypatch.setattr(encoder, "_BLOCK_ROWS", 8 * shape[2])  # 8 windows per block at most
+    blocks = []
+    forward_block = encoder._forward_block
+
+    def record(x_steps, *rest):
+        blocks.append(x_steps.shape[1])
+        forward_block(x_steps, *rest)
+
+    monkeypatch.setattr(encoder, "_forward_block", record)
+    emb, grads = _gradients(encode_batch, 2, shape)
+    assert sum(blocks) == shape[0] and len(blocks) >= 3 and len(set(blocks)) > 1, blocks
+    ref_emb, ref_grads = _gradients(_reference_encode, 2, shape)
+    assert np.array_equal(emb, ref_emb)
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+    params, windows, logits = _inputs(2, shape)
+    with ad.no_grad():
+        plain = encode_batch(windows, ad.softmax_rows(logits), params)
+    assert np.array_equal(plain.data, emb)
+
+
+def test_no_grad_forward_holds_no_full_batch_temporaries():
+    """Per-step buffers are made once per block of windows, so the no-grad
+    forward's peak above its output stays at a few (B*N, h) arrays."""
+    n_batch, n_steps, n_chan, hidden = 256, 6, 25, 32
+    params = init_encoder(hidden, 8, np.random.default_rng(28))
+    windows = np.random.default_rng(29).normal(size=(n_batch, n_steps, n_chan))
+    adjacency = Tensor(np.full((n_batch, n_chan, n_chan), 1.0 / n_chan))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.no_grad():
+            emb = encode_batch(windows, adjacency, params)
+        peak = tracemalloc.get_traced_memory()[1] - before - emb.data.nbytes
+    finally:
+        tracemalloc.stop()
+    array_bytes = n_batch * n_chan * hidden * 8
+    assert peak <= 6 * array_bytes, peak / array_bytes
 
 
 def test_no_grad_forward_matches_taped_forward():
