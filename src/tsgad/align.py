@@ -11,7 +11,7 @@ Each solver has one implementation, over a stack of K same-shape problems
 ``_entropic_gwd``. The stack stops in one of two modes. In lockstep it
 shares one stopping rule: it stops when every problem meets its own. In
 active-set mode each problem leaves the stack when it meets its rule (or
-the cap), keeping its own plan, duals, iteration count and history, and
+the cap), keeping its own plan, duals and iteration count, and
 the rest of the stack is compacted; the arithmetic is slice-independent,
 so each problem comes out bit-identical to its solve as a stack of one.
 ``sinkhorn_wd``, ``entropic_gwd`` and ``gwd_cost`` validate their inputs and
@@ -35,8 +35,7 @@ product.
 
 Gradients follow the envelope convention: a converged plan is treated as a
 constant, so the fused distance differentiates through the cost terms only.
-``batch_alignment``'s loss is one tape node over the batch; the pair nodes
-``wd_cost_term`` / ``gwd_cost_term`` share its kernels and serve the gate.
+``batch_alignment``'s loss is one tape node over the batch.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class TransportPlan:
     iterations: int
     converged: bool
     marginal_error: float
-    marginal_errors: list = field(default_factory=list, repr=False)
 
 
 def _check_marginals(u, v, n, m):
@@ -117,7 +115,6 @@ class _Stack:
     errors: np.ndarray  # (K,) L1 marginal violations of the returned plans
     iterations: np.ndarray  # (K,) iterations each problem ran
     converged: np.ndarray  # (K,) each problem met its stopping rule
-    history: list  # per problem, the violations before rounding of its last Sinkhorn
     duals: tuple = None  # scaled potentials, (K, n) and (K, m): the GW loop's warm start
 
     @classmethod
@@ -127,15 +124,13 @@ class _Stack:
             return np.empty((k,) + a.shape[1:], dtype=a.dtype)
 
         return cls(slots(part.plans), slots(part.objectives), slots(part.errors),
-                   slots(part.iterations), slots(part.converged), [None] * k,
+                   slots(part.iterations), slots(part.converged),
                    None if part.duals is None else tuple(slots(d) for d in part.duals))
 
     def put(self, ids, part):
         """Write the problems of stack ``part`` into slots ``ids``."""
         for name in ("plans", "objectives", "errors", "iterations", "converged"):
             getattr(self, name)[ids] = getattr(part, name)
-        for i, h in zip(ids, part.history or ()):
-            self.history[i] = h
         if part.duals is not None:
             self.duals[0][ids], self.duals[1][ids] = part.duals
 
@@ -149,7 +144,6 @@ class _Stack:
             iterations=int(self.iterations[k]),
             converged=bool(self.converged[k]),
             marginal_error=float(self.errors[k]),
-            marginal_errors=self.history[k].tolist(),
         )
 
 
@@ -187,7 +181,7 @@ def _rounded(plans, costs, u, v, iterations, converged, duals):
     plans = _round_to_marginals(plans, u, v)
     k = len(plans)
     return _Stack(plans, np.einsum("kij,kij->k", plans, costs), _marginal_errors(plans, u, v),
-                  np.full(k, iterations), np.full(k, converged), None, duals)
+                  np.full(k, iterations), np.full(k, converged), duals)
 
 
 def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set=False):
@@ -213,7 +207,6 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
     plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
     out = None  # the problems that left an active-set stack early
     live = np.arange(k)  # problems still in the stack, in index order
-    history = []
     met = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -221,7 +214,6 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
         g = logb - _logsumexp(f[:, :, None] - scaled, axis=1)
         plans = np.exp(f[:, :, None] + g[:, None, :] - scaled)
         errors = _marginal_errors(plans, u, v)
-        history.append(errors)
         if active_set:
             met = errors < tol
             if met.all() or iterations == max_iter:
@@ -237,14 +229,8 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
             break
     rest = _rounded(plans, costs, u, v, iterations, met, (f, g))
     if out is None:
-        rest.history = list(np.reshape(history, (-1, k)).T)
         return rest
     out.put(live, rest)
-    # step t's violations are those of the problems that ran past t, in index order
-    ran = np.arange(len(history))[:, None] < out.iterations
-    table = np.zeros(ran.shape)
-    table[ran] = np.concatenate(history)
-    out.history = [table[:t, j] for j, t in enumerate(out.iterations)]
     return out
 
 
@@ -345,17 +331,16 @@ class _QuartetCosts:
     that does not depend on the plans is built once here, so that every
     outer GW step reuses it: the dense maps contract the difference tensor,
     the factorized maps read prefix sums through the sort and search tables.
-    ``keep`` drops the problems that have left an active-set stack. Without
-    ``transposed`` only ``forward`` is built.
+    ``keep`` drops the problems that have left an active-set stack.
     """
 
-    def __init__(self, adj_s, adj_t, dense, transposed=True):
+    def __init__(self, adj_s, adj_t, dense):
         self.dense = dense
         if dense:
             self.tables = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
         else:
             pairs = [(adj_s, adj_t), (adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1))]
-            self.tables = [_factorized_tables(s, t) for s, t in pairs[: 1 + transposed]]
+            self.tables = [_factorized_tables(s, t) for s, t in pairs]
 
     def forward(self, plans):
         if self.dense:
@@ -395,7 +380,6 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
     out = None  # the problems that left an active-set stack early
     live = np.arange(k)  # problems still in the stack, in index order
     duals = None
-    last = [np.zeros(0)] * k  # the live problems' histories of their last Sinkhorn
     met = False
     iterations = 0
 
@@ -403,13 +387,13 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
         """The live problems in mask ``sel`` as a stack of their best iterates."""
         count = np.count_nonzero(sel)
         return _Stack(best_plans[sel], best_objs[sel], best_errs[sel], np.full(count, iterations),
-                      np.full(count, converged), list(itertools.compress(last, sel)))
+                      np.full(count, converged))
 
     for iterations in range(1, outer_iter + 1):
         direction = 0.5 * (pseudo + quartet.backward(plans))
         step = _sinkhorn(direction, u, v, beta, sink_iter, sink_tol, duals, active_set)
         moved = np.abs(step.plans - plans)
-        plans, duals, last = step.plans, step.duals, step.history
+        plans, duals = step.plans, step.duals
         pseudo = quartet.forward(plans)
         objs = np.einsum("kij,kij->k", plans, pseudo)
         improved = objs < best_objs - obj_tol * np.maximum(1.0, np.abs(best_objs))
@@ -486,7 +470,7 @@ def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
     if method not in ("auto", "dense", "factorized"):
         raise ValueError(f"unknown method {method!r}")
     dense = method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT)
-    pseudo = _QuartetCosts(a_s[None], a_t[None], dense, transposed=False).forward(plan[None])
+    pseudo = _QuartetCosts(a_s[None], a_t[None], dense).forward(plan[None])
     return float(np.einsum("kij,kij->k", plan[None], pseudo)[0]), pseudo[0]
 
 
@@ -656,14 +640,6 @@ def _wd_pulls(xs, xt, plans, dist):
     return pull_s, pull_t
 
 
-def wd_cost_term(source_embeddings, target_embeddings, plan):
-    """``<plan, cost(X_s, X_t)>`` as a tape node; gradients flow to embeddings."""
-    xs, xt = as_tensor(source_embeddings), as_tensor(target_embeddings)
-    plan = np.asarray(plan, dtype=np.float64)
-    dist = cost_matrix(xs.data, xt.data)
-    return _scalar_node((xs, xt), (plan * dist).sum(), lambda: _wd_pulls(xs.data, xt.data, plan, dist))
-
-
 def _sign_quartet_grads(a_s, a_t, plan):
     """Exact gradients of the quartet objective w.r.t. both adjacencies."""
     n, m = a_s.shape[0], a_t.shape[0]
@@ -680,14 +656,6 @@ def _sign_quartet_grads(a_s, a_t, plan):
         grad_s[i] = np.einsum("j,ab,ajb->a", plan[i], plan, signs)
         grad_t -= plan[i][:, None] * np.einsum("ab,ajb->jb", plan, signs)
     return grad_s, grad_t
-
-
-def gwd_cost_term(source_adjacency, target_adjacency, plan):
-    """Quartet objective as a tape node; gradients flow to both adjacencies."""
-    a_s, a_t = as_tensor(source_adjacency), as_tensor(target_adjacency)
-    plan = np.asarray(plan, dtype=np.float64)
-    return _scalar_node((a_s, a_t), gwd_cost(a_s.data, a_t.data, plan)[0],
-                        lambda: _sign_quartet_grads(a_s.data, a_t.data, plan))
 
 
 # ---------------------------------------------------------------------------

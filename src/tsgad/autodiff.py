@@ -98,12 +98,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
 
@@ -198,21 +192,6 @@ def mul(a, b):
     return Tensor._make(out_data, (a, b), backward)
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-    if not _tracking(a, b):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-grad * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
 def neg(a):
     a = as_tensor(a)
     out_data = -a.data
@@ -247,47 +226,6 @@ def exp(a):
 
     def backward(grad):
         a._accumulate(grad * out_data)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def log(a):
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log: input must be strictly positive")
-    out_data = np.log(a.data)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad / a.data)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    if np.any(a.data < 0.0):
-        raise ValueError("sqrt: input must be nonnegative")
-    out_data = np.sqrt(a.data)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad * 0.5 / np.maximum(out_data, 1e-300))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def absolute(a):
-    """|x| with subgradient 0 at x == 0."""
-    a = as_tensor(a)
-    out_data = np.abs(a.data)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad * np.sign(a.data))
 
     return Tensor._make(out_data, (a,), backward)
 

@@ -3,8 +3,9 @@
 Every command writes a JSON manifest (resolved configuration, input file
 digests, seed, artifact paths, wall-clock timings) next to its primary
 output; ``tsgad --manifest <file>`` replays the recorded run. Exit codes:
-0 success, 1 usage/configuration error, 2 data error, 3 numeric failure,
-4 property-suite failure.
+0 success, 1 usage/configuration error (an output path that cannot be
+written, a missing directory included), 2 data error (a missing input file
+included), 3 numeric failure, 4 property-suite failure.
 """
 
 from __future__ import annotations
@@ -91,12 +92,17 @@ def _write_manifest(path, command, argv, config, inputs, outputs, seed, timings)
     return path
 
 
+class _UnusableOutput(OSError):
+    """An output path open() would refuse; never a FileNotFoundError, so a missing directory exits 1."""
+
+
 def _check_outputs(*paths):
     """Refuse, before any work starts, an output path that open() would refuse.
 
-    Raises the OSError that opening the path for writing would raise, so the
-    message and exit code are those of a failed write, and no earlier output
-    of the command has been written yet.
+    Raises the error that opening the path for writing would raise, as an
+    ``_UnusableOutput``: it exits 1 like a failed write, even for a missing
+    directory (a missing input file exits 2), and no earlier output of the
+    command has been written yet.
     """
     for path in paths:
         if path is None:
@@ -110,7 +116,7 @@ def _check_outputs(*paths):
             code = errno.EACCES
         else:
             continue
-        raise OSError(code, os.strerror(code), str(path))
+        raise _UnusableOutput(code, os.strerror(code), str(path))
 
 
 def _parse_interval(text, kind):
@@ -137,8 +143,6 @@ def _add_train_config_flags(parser):
     parser.add_argument("--d-step", dest="d_step", type=int, help="per-step embedding width")
     parser.add_argument("--flow-layers", dest="flow_layers", type=int)
     parser.add_argument("--encoder-out-scale", dest="encoder_out_scale", type=float)
-    parser.add_argument("--grad-clip", dest="grad_clip", type=float)
-    parser.add_argument("--score-passes", dest="score_passes", type=int)
     parser.add_argument("--split-fraction", dest="split_fraction", type=float)
 
 

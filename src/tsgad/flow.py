@@ -73,33 +73,26 @@ class FlowModel:
         return out
 
 
-def init_flow(input_dim, cond_dim, n_layers=2, rng=None, scale=0.0, cond_scale=None):
-    """Build a flow; ``scale=0`` initializes every layer to the identity map.
-
-    ``cond_scale`` (default: same as ``scale``) separately controls the
-    condition-to-scale/shift matrices; a nonzero value makes the density
-    sensitive to the condition from the first optimizer step.
-    """
+def init_flow(input_dim, cond_dim, n_layers=2, rng=None, scale=0.0):
+    """Build a flow; ``scale=0`` initializes every layer to the identity map."""
     if n_layers < 1:
         raise ValueError("flow needs at least one layer")
-    if cond_scale is None:
-        cond_scale = scale
     mask = strict_mask(input_dim)
     layers = []
     for _ in range(n_layers):
-        def draw(shape, s):
-            if s == 0.0 or rng is None:
+        def draw(shape):
+            if scale == 0.0 or rng is None:
                 return np.zeros(shape)
-            return rng.normal(0.0, s, size=shape)
+            return rng.normal(0.0, scale, size=shape)
 
         layers.append(
             FlowLayer(
-                w_scale=Tensor(draw((input_dim, input_dim), scale), requires_grad=True),
-                w_shift=Tensor(draw((input_dim, input_dim), scale), requires_grad=True),
-                v_scale=Tensor(draw((cond_dim, input_dim), cond_scale), requires_grad=True),
-                v_shift=Tensor(draw((cond_dim, input_dim), cond_scale), requires_grad=True),
-                b_scale=Tensor(draw((1, input_dim), scale), requires_grad=True),
-                b_shift=Tensor(draw((1, input_dim), scale), requires_grad=True),
+                w_scale=Tensor(draw((input_dim, input_dim)), requires_grad=True),
+                w_shift=Tensor(draw((input_dim, input_dim)), requires_grad=True),
+                v_scale=Tensor(draw((cond_dim, input_dim)), requires_grad=True),
+                v_shift=Tensor(draw((cond_dim, input_dim)), requires_grad=True),
+                b_scale=Tensor(draw((1, input_dim)), requires_grad=True),
+                b_shift=Tensor(draw((1, input_dim)), requires_grad=True),
                 mask=mask,
             )
         )

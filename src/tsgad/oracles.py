@@ -16,16 +16,14 @@ import numpy as np
 from . import autodiff as ad
 from .align import (
     alignment_equivalence_check,
-    cost_matrix,
+    batch_alignment,
     entropic_gwd,
     exact_gwd_uniform,
     exact_wd_uniform,
     gwd_cost,
     gwd_cost_naive,
-    gwd_cost_term,
     sinkhorn_wd,
     uniform_weights,
-    wd_cost_term,
 )
 from .autodiff import Tensor
 from .checks import gradient_check, numeric_gradient, relative_error
@@ -141,7 +139,11 @@ def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3, inject_fault=False):
 
 
 def gradient_suite(inject_fault=False):
-    """Finite-difference checks for every differentiable surface."""
+    """Finite-difference checks for every differentiable surface.
+
+    The alignment check differentiates ``batch_alignment``'s loss node, the one
+    training backpropagates, against central differences of the re-solved loss.
+    """
     t0 = time.time()
     failures = []
     worst = 0.0
@@ -184,38 +186,32 @@ def gradient_suite(inject_fault=False):
         1e-4,
     )
 
-    # envelope gradient of the fused distance against the re-solved objective,
-    # on planted near-isomorphic instances where the optimal plan is locked
-    beta, lam = 0.01, 0.1
+    # envelope gradient of the batch alignment loss against the re-solved objective, on
+    # planted near-isomorphic instances where the optimal plans are locked. At B = 2,
+    # window 0 is the source of one problem and the reference of the other, so its
+    # gradient checks both halves of the leave-one-out chain rule.
+    solver = dict(lam=0.1, beta=0.01, sink_iter=1000, sink_tol=1e-10, gw_outer=40, gw_tol=1e-11)
     for seed in range(3):
         r = np.random.default_rng(100 + seed)
         n, d = 3, 2
-        u = uniform_weights(n)
         sigma = r.permutation(n)
         xs_np = r.random((n, d))
         xt_np = xs_np[sigma] + r.normal(0.0, 0.02, (n, d))
         as_np = r.random((n, n))
         at_np = as_np[np.ix_(sigma, sigma)] + r.normal(0.0, 0.02, (n, n))
-        xs = Tensor(xs_np, requires_grad=True)
-        a_s = Tensor(as_np, requires_grad=True)
-        sk = dict(max_iter=3000, tol=1e-11)
-        gw = dict(outer_iter=40, tol=1e-11, sink_iter=1000, sink_tol=1e-10)
-
-        wd = sinkhorn_wd(cost_matrix(xs.data, xt_np), u, u, beta, **sk)
-        gwp = entropic_gwd(a_s.data, at_np, u, u, beta, **gw)
-        term = (wd_cost_term(xs, xt_np, wd.plan) + gwd_cost_term(a_s, Tensor(at_np), gwp.plan)) * lam
-        xs.zero_grad()
-        a_s.zero_grad()
-        ad.backward(term)
+        emb = Tensor(np.stack([xs_np, xt_np]), requires_grad=True)
+        adj = Tensor(np.stack([as_np, at_np]), requires_grad=True)
+        ad.backward(batch_alignment(emb, adj, **solver).loss_term)
+        xs = Tensor(emb.data[0])
+        a_s = Tensor(adj.data[0])
 
         def resolved():
-            w = sinkhorn_wd(cost_matrix(xs.data, xt_np), u, u, beta, **sk)
-            g = entropic_gwd(a_s.data, at_np, u, u, beta, **gw)
-            return lam * (w.objective + g.objective)
+            return batch_alignment(np.stack([xs.data, xt_np]), np.stack([a_s.data, at_np]),
+                                   **solver).ga.mean()
 
         err = max(
-            relative_error(xs.grad, numeric_gradient(resolved, xs)),
-            relative_error(a_s.grad, numeric_gradient(resolved, a_s)),
+            relative_error(emb.grad[0], numeric_gradient(resolved, xs)),
+            relative_error(adj.grad[0], numeric_gradient(resolved, a_s)),
         )
         record(f"envelope-ga-seed{seed}", err, 1e-2)
 

@@ -41,6 +41,8 @@ ABLATIONS = {
 # paper-scale experiment defaults; desk-scale values are the dataclass defaults
 PAPER_SCALE = {"window": 80, "batch_size": 256, "epochs": 60}
 
+SCORE_PASSES = 3  # scoring batch compositions the alignment terms are averaged over
+
 
 def _is_number(value):
     """A JSON number: int or float, but not a bool."""
@@ -63,8 +65,6 @@ class TrainConfig:
     d_step: int = 8
     flow_layers: int = 2
     encoder_out_scale: float = 1.0
-    grad_clip: float = 0.0  # 0 disables clipping
-    score_passes: int = 3  # alignment-term averaging over scoring batch compositions
     split_fraction: float = 0.6
 
     def __post_init__(self):
@@ -90,10 +90,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be > 0")
         if self.lam < 0.0:
             raise ConfigError("lam must be >= 0")
-        if self.grad_clip < 0.0:
-            raise ConfigError(f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}")
-        if self.score_passes < 1:
-            raise ConfigError(f"score_passes must be >= 1, got {self.score_passes}")
+        if not 0.0 < self.split_fraction <= 1.0:
+            raise ConfigError(f"split_fraction must be in (0, 1], got {self.split_fraction}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.ablation not in ABLATIONS:
@@ -169,16 +167,6 @@ class Adam:
             m_hat = self._m[i] / correct1
             v_hat = self._v[i] / correct2
             p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def clip_gradients(params, max_norm):
-    total = np.sqrt(sum(float((p.grad**2).sum()) for p in params if p.grad is not None))
-    if total > max_norm > 0.0:
-        scale = max_norm / total
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
-    return total
 
 
 def _embed(model, windows, training, dropout_rng):
@@ -261,8 +249,6 @@ def train(train_ds, config):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
             optimizer.zero_grad()
             ad.backward(loss)
-            if cfg.grad_clip > 0.0:
-                clip_gradients(optimizer.params, cfg.grad_clip)
             optimizer.step()
             loss_curve.append((epoch, batch_index, value))
             epoch_losses.append(value)
@@ -353,7 +339,7 @@ def _score_windows(model, windows):
     instances are sampled during training: a batch's reference graph then
     aggregates windows from across the split instead of a contiguous run, so
     a long anomalous stretch cannot dominate its own reference. The
-    alignment terms are averaged over ``score_passes`` independent batch
+    alignment terms are averaged over ``SCORE_PASSES`` independent batch
     compositions to damp the sampling noise of the reference. Each
     alignment batch runs its own no-grad forward; in eval mode a window's
     adjacency and NLL do not depend on its batchmates, so every pass writes
@@ -372,7 +358,7 @@ def _score_windows(model, windows):
     wd, gwd = np.zeros(n_total), np.zeros(n_total)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
     with ad.no_grad():
-        for _ in range(cfg.score_passes if terms else 1):
+        for _ in range(SCORE_PASSES if terms else 1):
             order = rng.permutation(n_total)
             for lo in range(0, n_total, batch_size):
                 # a lone trailing window borrows a batchmate for the reference
@@ -383,8 +369,8 @@ def _score_windows(model, windows):
                 adjacency[out], nll[out] = adj[borrow:], batch_nll[borrow:]
                 if terms:
                     align = batch_alignment(emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms)
-                    wd[out] += align.wd[borrow:] / cfg.score_passes
-                    gwd[out] += align.gwd[borrow:] / cfg.score_passes
+                    wd[out] += align.wd[borrow:] / SCORE_PASSES
+                    gwd[out] += align.gwd[borrow:] / SCORE_PASSES
     d_ga = wd + gwd
     scores = d_ga + nll
     bad = int((~np.isfinite(scores)).sum())
@@ -489,6 +475,8 @@ _RETIRED_FIELDS = {
     "flow_init_scale": 0.0,  # the flow starts as the identity map
     "flow_cond_init_scale": 0.0,
     "score_lambda_scaled": False,  # the alignment term enters the score unscaled by lam
+    "grad_clip": 0.0,  # gradients reach Adam unclipped
+    "score_passes": 3,  # scoring averages the alignment terms over SCORE_PASSES batch compositions
 }
 
 

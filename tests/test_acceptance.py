@@ -91,7 +91,8 @@ def test_criterion_4_gradient_integrity():
     _announce(
         4,
         suite["passed"] and elapsed < 60.0,
-        f"attention/encoder/flow at 1e-4, envelope at 1e-2; worst {suite['max_deviation']:.2e}, "
+        f"attention/encoder/flow at 1e-4, batch alignment loss envelope at 1e-2; "
+        f"worst {suite['max_deviation']:.2e}, "
         f"{elapsed:.1f}s (< 60s)",
     )
 
@@ -163,10 +164,11 @@ def detection_runs():
 
 
 def test_criterion_6_desk_scale_detection(detection_runs):
-    means = {}
+    means, per_seed = {}, []
     for ablation in ("full", "no_wd", "no_gwd", "no_ga"):
         aucs = [detection_runs[(ablation, s)][1].auc for s in DESK["seeds"]]
         means[ablation] = float(np.mean(aucs))
+        per_seed.append(f"{ablation} " + " ".join(f"{auc:.4f}" for auc in aucs))
     elapsed = detection_runs["elapsed"]
     ok = (
         means["full"] >= 0.85
@@ -179,8 +181,10 @@ def test_criterion_6_desk_scale_detection(detection_runs):
         6,
         ok,
         "seed-averaged AUC full={full:.4f} (>= 0.85), no_wd={no_wd:.4f}, no_gwd={no_gwd:.4f}, "
-        "no_ga={no_ga:.4f} (full - no_ga = {gap:.4f} >= 0.03), runtime {t:.0f}s (< 600s)".format(
-            gap=means["full"] - means["no_ga"], t=elapsed, **means
+        "no_ga={no_ga:.4f} (full - no_ga = {gap:.4f} >= 0.03), runtime {t:.0f}s (< 600s); "
+        "margins full - 0.85 = {m1:+.4f}, (full - no_ga) - 0.03 = {m2:+.4f}; AUC per seed {seeds}: {rows}".format(
+            gap=means["full"] - means["no_ga"], t=elapsed, m1=means["full"] - 0.85,
+            m2=means["full"] - means["no_ga"] - 0.03, seeds=DESK["seeds"], rows="; ".join(per_seed), **means
         ),
     )
 
@@ -205,7 +209,8 @@ def test_criterion_7_interdependency_shift_visibility(detection_runs):
     _announce(
         7,
         ratio >= 1.5,
-        f"mean adjacency gap anomalous-vs-normal exceeds normal-vs-normal by {ratio:.2f}x (>= 1.5x)",
+        f"mean adjacency gap anomalous-vs-normal exceeds normal-vs-normal by {ratio:.2f}x (>= 1.5x, "
+        f"margin {ratio - 1.5:+.2f}); per seed {', '.join(f'{r:.2f}' for r in ratios)}",
     )
 
 

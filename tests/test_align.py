@@ -5,6 +5,7 @@ from tsgad import align
 from tsgad import autodiff as ad
 from tsgad.align import (
     _entropic_gwd,
+    _marginal_errors,
     _QuartetCosts,
     _sinkhorn,
     alignment_equivalence_check,
@@ -16,14 +17,12 @@ from tsgad.align import (
     exact_wd_uniform,
     gwd_cost,
     gwd_cost_naive,
-    gwd_cost_term,
     permutation_matrices,
     sinkhorn_wd,
     uniform_weights,
-    wd_cost_term,
 )
 from tsgad.autodiff import Tensor
-from tsgad.checks import numeric_gradient, relative_error
+from tsgad.checks import relative_error
 
 
 def test_cost_matrix_zero_diagonal_when_identical():
@@ -84,14 +83,20 @@ def test_sinkhorn_rejects_bad_marginals():
 
 
 def test_sinkhorn_marginal_violation_monotone():
+    # one Sinkhorn step at a time, each warm started from the duals the last one
+    # returned, runs the same iterations as one solve; the violation before
+    # rounding is that of the plan the duals define
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cost = rng.random((5, 6))
-        v = rng.random(6)
+        costs = rng.random((1, 5, 6))
+        u, v = uniform_weights(5), rng.random(6)
         v /= v.sum()
-        res = sinkhorn_wd(cost, uniform_weights(5), v, beta=0.03, max_iter=2000, tol=1e-10)
-        errs = np.asarray(res.marginal_errors)
-        assert np.all(np.diff(errs) <= 1e-12)
+        duals, errs = None, []
+        while len(errs) < 2000 and (not errs or errs[-1] >= 1e-10):
+            duals = _sinkhorn(costs, u, v, 0.03, 1, 1e-10, duals).duals
+            f, g = duals
+            errs.append(_marginal_errors(np.exp(f[:, :, None] + g[:, None, :] - costs / 0.03), u, v)[0])
+        assert len(errs) > 1 and np.all(np.diff(errs) <= 1e-12)
 
 
 def test_sinkhorn_objective_decreases_with_beta():
@@ -196,7 +201,6 @@ def _assert_same_plan(got, want):
     assert got.marginal_error == want.marginal_error
     assert got.iterations == want.iterations
     assert got.converged == want.converged
-    assert got.marginal_errors == want.marginal_errors
 
 
 @pytest.mark.parametrize("n, m", [(25, 25), (23, 23), (21, 27)])
@@ -364,36 +368,6 @@ def test_permutation_matrices_act_by_row_selection():
     m = np.arange(9.0).reshape(3, 3)
     for sigma, p in permutation_matrices(3):
         np.testing.assert_array_equal(p @ m, m[list(sigma)])
-
-
-# differentiable cost terms
-
-def test_wd_cost_term_matches_fixed_plan_fd():
-    rng = np.random.default_rng(2)
-    xs = Tensor(rng.random((4, 3)), requires_grad=True)
-    xt = Tensor(rng.random((4, 3)), requires_grad=True)
-    u = uniform_weights(4)
-    plan = sinkhorn_wd(cost_matrix(xs.data, xt.data), u, u, 0.05, max_iter=2000, tol=1e-10).plan
-    loss = wd_cost_term(xs, xt, plan)
-    assert loss.item() == pytest.approx(float((plan * cost_matrix(xs.data, xt.data)).sum()), abs=1e-12)
-    ad.backward(loss)
-    for p in (xs, xt):
-        numeric = numeric_gradient(lambda: wd_cost_term(Tensor(xs.data), Tensor(xt.data), plan).item()
-                                   if p is None else wd_cost_term(xs, xt, plan).item(), p)
-        assert relative_error(p.grad, numeric) < 1e-6
-
-
-def test_gwd_cost_term_matches_fixed_plan_fd():
-    rng = np.random.default_rng(3)
-    a_s = Tensor(rng.random((3, 3)), requires_grad=True)
-    a_t = Tensor(rng.random((3, 3)), requires_grad=True)
-    u = uniform_weights(3)
-    plan = entropic_gwd(a_s.data, a_t.data, u, u, 0.05, outer_iter=30, tol=1e-10).plan
-    loss = gwd_cost_term(a_s, a_t, plan)
-    ad.backward(loss)
-    for p in (a_s, a_t):
-        numeric = numeric_gradient(lambda: gwd_cost_term(a_s, a_t, plan).item(), p)
-        assert relative_error(p.grad, numeric) < 1e-6
 
 
 # batch alignment against the leave-one-out reference

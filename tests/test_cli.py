@@ -131,6 +131,18 @@ def test_config_file_non_finite_value_exit_1(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_split_fraction_out_of_range_exit_1(tmp_path, capsys):
+    data = _synth(tmp_path)
+    train_argv = ["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--seed", "3"]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("split_fraction = 0\n")
+    for extra in (["--split-fraction", "-0.5"], ["--split-fraction", "5"], ["--config", str(cfg)]):
+        assert main([*train_argv, *extra]) == 1
+        err = capsys.readouterr().err
+        assert "split_fraction must be in (0, 1]" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_manifest_malformed_exit_1(tmp_path, capsys):
     manifest = tmp_path / "run.manifest.json"
     for text, problem in (("{not json", "not a JSON manifest"), ("[1, 2]", "JSON object"),
@@ -321,6 +333,8 @@ RETIRED_FIELDS = [
     pytest.param("flow_init_scale", [0.0, 0], [0.5, False, None], id="flow_init_scale"),
     pytest.param("flow_cond_init_scale", [0.0, 0], [0.5, False, None], id="flow_cond_init_scale"),
     pytest.param("score_lambda_scaled", [False], [True, 0, None], id="score_lambda_scaled"),
+    pytest.param("grad_clip", [0.0, 0], [0.5, False, None], id="grad_clip"),
+    pytest.param("score_passes", [3], [1, 3.0, None], id="score_passes"),
 ]
 
 
@@ -453,6 +467,8 @@ def _eval_exit_2_without_traceback(tmp_path, capsys, data, checkpoint, mention):
     pytest.param("seed must be >= 0", lambda c: c["config"].update(seed=-1), id="negative-seed"),
     pytest.param("unsupported checkpoint version", lambda c: c.update(version=True),
                  id="boolean-version"),
+    *(pytest.param("split_fraction must be in (0, 1]", lambda c, v=v: c["config"].update(split_fraction=v),
+                   id=f"split-fraction-{v}") for v in (-0.5, 0.0, 5.0)),
 ])
 def test_malformed_checkpoint_field_exit_2(tmp_path, capsys, trained, mention, edit):
     data, ckpt = trained
@@ -492,6 +508,8 @@ def _train_argv(data, out, *extra):
                                       "--out-prefix", str(t / "s"), "--export-graphs", str(t)], t),
                  id="export-graphs-directory"),
     pytest.param(1, lambda d, c, t: (["oracle", "--out", str(t)], t), id="oracle-out-directory"),
+    pytest.param(1, lambda d, c, t: (["synth", "--seed", "1", "--out", str(t / "missing" / "x.csv")],
+                                     t / "missing" / "x.csv"), id="synth-out-missing-directory"),
 ])
 def test_malformed_path_exits_with_one_line(tmp_path, capsys, trained, code, case):
     argv, bad_path = case(*trained, tmp_path)
@@ -527,6 +545,8 @@ def _score_argv(command, data, checkpoint, prefix, *extra):
     pytest.param(lambda d, c, o: (["oracle", "--out", str(o)], o), id="oracle-out"),
     pytest.param(lambda d, c, o: (["oracle", "--out", str(o / "r.json")], _mkdir(o / "r.json.manifest.json")),
                  id="oracle-manifest"),
+    pytest.param(lambda d, c, o: (_train_argv(d, o / "missing" / "m.json"), o / "missing" / "m.json"),
+                 id="train-out-missing-directory"),
 ])
 def test_unusable_output_path_stops_before_the_work(tmp_path, capsys, monkeypatch, trained, case):
     for name in ("train", "score", "run_all"):

@@ -117,7 +117,7 @@ def _wrong_values(value):
     """Replacements that no field holding ``value`` accepts: another JSON type, or out of range.
 
     Integers stay small: the model is allocated from ``hidden`` before the stored
-    shapes are compared, and a large ``score_passes`` is valid but slow.
+    shapes are compared.
     """
     others = [None, [], {}, "?"]
     if isinstance(value, bool):

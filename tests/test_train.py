@@ -16,7 +16,6 @@ from tsgad.train import (
     _forward_batch,
     auc_roc,
     build_model,
-    clip_gradients,
     iqr_threshold,
     load_checkpoint,
     model_from_checkpoint,
@@ -85,15 +84,15 @@ def test_config_validation():
         TrainConfig(ablation="none")
     with pytest.raises(ConfigError, match="dropout"):
         TrainConfig(dropout=1.0)
-    with pytest.raises(ConfigError, match="score_passes"):
-        TrainConfig(score_passes=0)
-    with pytest.raises(ConfigError, match="grad_clip"):
-        TrainConfig(grad_clip=-1.0)
+    for bad in (-0.5, 0.0, 1.5, 5.0):
+        with pytest.raises(ConfigError, match=r"split_fraction must be in \(0, 1\]"):
+            TrainConfig(split_fraction=bad)
+    assert TrainConfig(split_fraction=1.0).split_fraction == 1.0
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         TrainConfig(seed=-1)
     for name, bad in (("learning_rate", float("nan")), ("lam", float("nan")),
-                      ("beta", float("inf")), ("grad_clip", float("nan")),
-                      ("split_fraction", float("-inf")), ("dropout", "0.1"), ("lam", True)):
+                      ("beta", float("inf")), ("split_fraction", float("-inf")),
+                      ("dropout", "0.1"), ("lam", True)):
         with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
             TrainConfig(**{name: bad})
     with pytest.raises(ConfigError, match="unknown config fields"):
@@ -110,14 +109,6 @@ def test_adam_minimizes_quadratic():
         ad.backward(loss)
         opt.step()
     np.testing.assert_allclose(p.data, target, atol=1e-3)
-
-
-def test_clip_gradients_caps_norm():
-    p = Tensor(np.zeros(3), requires_grad=True)
-    p.grad = np.array([3.0, 4.0, 0.0])
-    total = clip_gradients([p], 1.0)
-    assert total == pytest.approx(5.0)
-    assert np.linalg.norm(p.grad) == pytest.approx(1.0)
 
 
 # training behavior
