@@ -54,8 +54,6 @@ class TransportPlan:
     """A coupling with prescribed marginals and its achieved (unregularized) cost."""
 
     plan: np.ndarray
-    source_weights: np.ndarray
-    target_weights: np.ndarray
     objective: float
     iterations: int
     converged: bool
@@ -134,12 +132,10 @@ class _Stack:
         if part.duals is not None:
             self.duals[0][ids], self.duals[1][ids] = part.duals
 
-    def plan(self, k, u, v):
+    def plan(self, k):
         """Problem ``k`` of the stack as a TransportPlan."""
         return TransportPlan(
             plan=self.plans[k],
-            source_weights=u,
-            target_weights=v,
             objective=float(self.objectives[k]),
             iterations=int(self.iterations[k]),
             converged=bool(self.converged[k]),
@@ -235,6 +231,7 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
 
 
 _DENSE_QUARTET_LIMIT = 250_000  # entries of one stack's pseudo-cost tables
+_OBJ_TOL = 1e-9  # relative objective gain below which a GW outer step counts as stalled
 
 
 def _search_positions(a_s, sorted_vals):
@@ -356,8 +353,7 @@ class _QuartetCosts:
         self.tables = self.tables[keep] if self.dense else [_keep_tables(t, keep) for t in self.tables]
 
 
-def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, obj_tol=1e-9,
-                  active_set=False):
+def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, active_set=False):
     """Projected-gradient entropic GW over stacks (K, n, n) vs (K, m, m).
 
     Each outer step linearizes the quartet objective at the current plans
@@ -396,7 +392,7 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
         plans, duals = step.plans, step.duals
         pseudo = quartet.forward(plans)
         objs = np.einsum("kij,kij->k", plans, pseudo)
-        improved = objs < best_objs - obj_tol * np.maximum(1.0, np.abs(best_objs))
+        improved = objs < best_objs - _OBJ_TOL * np.maximum(1.0, np.abs(best_objs))
         take = objs <= best_objs
         best_plans[take] = plans[take]
         best_errs[take] = step.errors[take]
@@ -445,7 +441,7 @@ def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e
         raise ValueError("beta must be > 0")
     u, v = _check_marginals(source_weights, target_weights, *cost.shape)
     solved = _sinkhorn(cost[None], u, v, beta, max_iter, tol)
-    return solved.plan(0, u, v)
+    return solved.plan(0)
 
 
 def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
@@ -470,7 +466,8 @@ def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
     if method not in ("auto", "dense", "factorized"):
         raise ValueError(f"unknown method {method!r}")
     dense = method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT)
-    pseudo = _QuartetCosts(a_s[None], a_t[None], dense).forward(plan[None])
+    pseudo = (_QuartetCosts(a_s[None], a_t[None], True).forward(plan[None]) if dense
+              else _factorized_pseudo_costs(_factorized_tables(a_s[None], a_t[None]), plan[None]))
     return float(np.einsum("kij,kij->k", plan[None], pseudo)[0]), pseudo[0]
 
 
@@ -502,7 +499,6 @@ def entropic_gwd(
     tol=1e-8,
     sink_iter=200,
     sink_tol=1e-7,
-    obj_tol=1e-9,
 ):
     """Entropic Gromov-Wasserstein by projected gradient.
 
@@ -520,9 +516,8 @@ def entropic_gwd(
     a_s = _square(source_adjacency, "source")
     a_t = _square(target_adjacency, "target")
     u, v = _check_marginals(source_weights, target_weights, a_s.shape[0], a_t.shape[0])
-    solved = _entropic_gwd(a_s[None], a_t[None], u, v, beta, outer_iter, tol, sink_iter,
-                           sink_tol, obj_tol)
-    return solved.plan(0, u, v)
+    solved = _entropic_gwd(a_s[None], a_t[None], u, v, beta, outer_iter, tol, sink_iter, sink_tol)
+    return solved.plan(0)
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +594,14 @@ def enumerate_alignment_values(source_adjacency, source_embeddings, target_adjac
 
 
 def alignment_equivalence_check(
-    source_adjacency, source_embeddings, target_adjacency, target_embeddings, tol=1e-9
+    source_adjacency, source_embeddings, target_adjacency, target_embeddings
 ):
     """True iff the Frobenius-argmin permutation set equals the inner-product-argmax set."""
     perms, frob, inner = enumerate_alignment_values(
         source_adjacency, source_embeddings, target_adjacency, target_embeddings
     )
-    frob_tol = tol * max(1.0, float(np.abs(frob).max()))
-    inner_tol = tol * max(1.0, float(np.abs(inner).max()))
+    frob_tol = 1e-9 * max(1.0, float(np.abs(frob).max()))
+    inner_tol = 1e-9 * max(1.0, float(np.abs(inner).max()))
     argmin = {perms[i] for i in np.flatnonzero(frob <= frob.min() + frob_tol)}
     argmax = {perms[i] for i in np.flatnonzero(inner >= inner.max() - inner_tol)}
     return argmin == argmax
@@ -771,10 +766,10 @@ def batch_alignment(
         if wd is not None:
             wd_costs[s] = costs
             wd_vals[s] = wd.objectives
-            wd_plans += [wd.plan(k, u, u) for k in range(len(wd.plans))]
+            wd_plans += [wd.plan(k) for k in range(len(wd.plans))]
         if gwd is not None:
             gwd_vals[s] = gwd.objectives
-            gwd_plans += [gwd.plan(k, u, u) for k in range(len(gwd.plans))]
+            gwd_plans += [gwd.plan(k) for k in range(len(gwd.plans))]
     ga_vals = lam * (wd_vals + gwd_vals)
 
     def chain(source, reference):

@@ -4,8 +4,8 @@ A dynamic tape: every operation on tensors that require gradients records
 its parents and a backward rule on the result node. ``backward`` walks the
 recorded graph once in reverse topological order, so every input node is
 visited after all of its consumers and each ``requires_grad`` leaf ends up
-with d(loss)/d(leaf) accumulated additively. Call ``zero_grad`` (or set
-``t.grad = None``) between optimizer steps.
+with d(loss)/d(leaf) accumulated additively. Set ``t.grad = None`` (as
+``Adam.zero_grad`` does) between optimizer steps.
 
 All arrays are float64 and row-major. Shape-changing ops (reshape,
 transpose, slicing, flip) return copies, never views, so mutating an
@@ -62,15 +62,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, grad):
         if self.grad is None:
@@ -118,10 +111,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def as_tensor(x):
@@ -343,21 +332,17 @@ def matmul(a, b):
     return Tensor._make(out_data, (a, b), backward)
 
 
-def transpose(a, axes=None):
-    """Transpose (last two axes by default for ndim > 2)."""
+def transpose(a):
+    """Swap the last two axes."""
     a = as_tensor(a)
-    if axes is None:
-        if a.data.ndim < 2:
-            raise ValueError("transpose requires >=2-D input")
-        axes = tuple(range(a.data.ndim - 2)) + (a.data.ndim - 1, a.data.ndim - 2)
-    axes = tuple(axes)
-    out_data = np.transpose(a.data, axes).copy()
+    if a.data.ndim < 2:
+        raise ValueError("transpose requires >=2-D input")
+    out_data = np.swapaxes(a.data, -1, -2).copy()
     if not _tracking(a):
         return Tensor._make(out_data, (), None)
-    inverse = tuple(np.argsort(axes))
 
     def backward(grad):
-        a._accumulate(np.transpose(grad, inverse))
+        a._accumulate(np.swapaxes(grad, -1, -2))
 
     return Tensor._make(out_data, (a,), backward)
 

@@ -8,11 +8,12 @@ from . import autodiff
 from .autodiff import Tensor
 
 
-def numeric_gradient(func, param, eps=1e-5):
+def numeric_gradient(func, param):
     """Central finite differences of a scalar-valued ``func`` w.r.t. ``param``.
 
     ``func`` takes no arguments and must re-read ``param.data`` on every call.
     """
+    eps = 1e-5  # central-difference step
     base = param.data.copy()
     grad = np.zeros_like(base)
     flat = param.data.reshape(-1)
@@ -34,7 +35,7 @@ def relative_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
-def gradient_check(build_loss, params, eps=1e-5):
+def gradient_check(build_loss, params):
     """Compare tape gradients of ``build_loss()`` with central differences.
 
     ``build_loss`` reconstructs the scalar loss Tensor from the current
@@ -42,15 +43,15 @@ def gradient_check(build_loss, params, eps=1e-5):
     """
     loss = build_loss()
     for p in params:
-        p.zero_grad()
+        p.grad = None
     autodiff.backward(loss)
     worst = 0.0
     for p in params:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = numeric_gradient(lambda: build_loss().item(), p, eps=eps)
+        numeric = numeric_gradient(lambda: build_loss().item(), p)
         worst = max(worst, relative_error(analytic, numeric))
     for p in params:
-        p.zero_grad()
+        p.grad = None
     return worst
 
 

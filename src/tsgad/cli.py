@@ -334,6 +334,8 @@ def _run_scoring(args, argv, command):
 
 def cmd_oracle(args, argv):
     t0 = time.time()
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     manifest_path = f"{args.out}.manifest.json" if args.out else None
     _check_outputs(args.out, manifest_path)
     results = run_all(seeds=args.seeds, inject_fault=args.inject_fault)

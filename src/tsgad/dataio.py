@@ -79,6 +79,9 @@ def read_series(path, label_column="label"):
         header = next(reader)
     except StopIteration:
         raise DataFormatError(f"{path}: empty file") from None
+    for c, name in enumerate(header):
+        if name in header[:c]:
+            raise DataFormatError(f"{path}: column {name!r} appears more than once in the header")
     label_idx = header.index(label_column) if label_column in header else None
     channel_names = [h for i, h in enumerate(header) if i != label_idx]
     if len(channel_names) < 2:
@@ -109,11 +112,11 @@ def read_series(path, label_column="label"):
     return SeriesDataset(channel_names=channel_names, values=values, labels=label_arr)
 
 
-def write_series(ds, path, label_column="label"):
+def write_series(ds, path):
     """Write a dataset to CSV; float formatting round-trips exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.channel_names) + [label_column])
+        writer.writerow(list(ds.channel_names) + ["label"])
         for row, lab in zip(ds.values, ds.labels):
             writer.writerow([repr(float(x)) for x in row] + [int(lab)])
 
@@ -229,6 +232,12 @@ def synth_generate(n_channels=5, length=2000, anomaly_spec=(), seed=None, noise=
     """
     if seed is None:
         raise ConfigError("synth_generate requires an explicit seed (determinism)")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if length < 1:
+        raise ConfigError(f"length must be >= 1, got {length}")
+    if not 0.0 <= noise < np.inf:
+        raise ConfigError(f"noise must be a finite number >= 0, got {noise}")
     if n_channels < 2:
         raise ConfigError("need at least 2 channels")
     intervals = _check_intervals([iv if isinstance(iv, AnomalyInterval) else AnomalyInterval(*iv) for iv in anomaly_spec], length)

@@ -48,12 +48,6 @@ class FlowLayer:
         m = ad.matmul(x, masked_wm) + ad.matmul(cond, self.v_shift) + self.b_shift
         return s, m
 
-    def scale_shift_np(self, x, cond):
-        raw_s = x @ (self.w_scale.data * self.mask) + cond @ self.v_scale.data + self.b_scale.data
-        s = np.tanh(raw_s / SCALE_BOUND) * SCALE_BOUND
-        m = x @ (self.w_shift.data * self.mask) + cond @ self.v_shift.data + self.b_shift.data
-        return s, m
-
 
 @dataclass
 class FlowModel:
@@ -133,17 +127,18 @@ def forward(x, cond, model):
 
 
 def inverse(z, cond, model):
-    """Recover x from z coordinate by coordinate (numpy, no tape)."""
+    """Recover x from z coordinate by coordinate (no tape)."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     x = z.copy()
-    for k in reversed(range(len(model.layers))):
-        layer = model.layers[k]
-        out = np.zeros_like(x)
-        for col in range(model.input_dim):
-            s, m = layer.scale_shift_np(out, cond)
-            out[:, col] = (x[:, col] - m[:, col]) * np.exp(-s[:, col])
-        x = out[..., ::-1] if k > 0 else out  # undo this layer's coordinate order
+    with ad.no_grad():
+        for k in reversed(range(len(model.layers))):
+            layer = model.layers[k]
+            out = np.zeros_like(x)
+            for col in range(model.input_dim):
+                s, m = layer.scale_shift(out, cond)
+                out[:, col] = (x[:, col] - m.data[:, col]) * np.exp(-s.data[:, col])
+            x = out[..., ::-1] if k > 0 else out  # undo this layer's coordinate order
     return x
 
 

@@ -28,10 +28,9 @@ class AttentionParams:
         return self.w_query.data.shape[0]
 
 
-def init_attention(window, rng, scale=None):
-    """Seeded init; scale keeps the pre-softmax logits near unit variance."""
-    if scale is None:
-        scale = float(window) ** -0.75
+def init_attention(window, rng):
+    """Seeded init; the scale window^-0.75 keeps the pre-softmax logits near unit variance."""
+    scale = float(window) ** -0.75
     return AttentionParams(
         w_query=Tensor(rng.normal(0.0, scale, size=(window, window)), requires_grad=True),
         w_key=Tensor(rng.normal(0.0, scale, size=(window, window)), requires_grad=True),

@@ -32,6 +32,12 @@ from .flow import init_flow, log_prob
 from .graph import attention_adjacency, init_attention
 
 
+def _report(name, checks, failures, worst, t0):
+    """A suite's result: the dict every suite returns, timed from ``t0``."""
+    return {"name": name, "checks": checks, "failures": failures, "passed": not failures,
+            "max_deviation": worst, "seconds": time.time() - t0}
+
+
 def equivalence_suite(seeds=100, sizes=(3, 4), inject_fault=False):
     """Frobenius-argmin vs inner-product-argmax over full permutation enumeration."""
     t0 = time.time()
@@ -46,14 +52,7 @@ def equivalence_suite(seeds=100, sizes=(3, 4), inject_fault=False):
             ok = False
         if not ok:
             failures.append(f"seed {seed} (n={n})")
-    return {
-        "name": "alignment-equivalence",
-        "checks": seeds,
-        "failures": failures,
-        "passed": not failures,
-        "max_deviation": 0.0,
-        "seconds": time.time() - t0,
-    }
+    return _report("alignment-equivalence", seeds, failures, 0.0, t0)
 
 
 def sinkhorn_suite(seeds=50, beta=0.005, rel_tol=0.02, inject_fault=False):
@@ -72,14 +71,7 @@ def sinkhorn_suite(seeds=50, beta=0.005, rel_tol=0.02, inject_fault=False):
             rel = rel_tol * 10
         if rel > rel_tol or res.marginal_error > 1e-6:
             failures.append(f"seed {seed}: rel {rel:.4f}, marginal {res.marginal_error:.2e}")
-    return {
-        "name": "sinkhorn-vs-enumeration",
-        "checks": seeds,
-        "failures": failures,
-        "passed": not failures,
-        "max_deviation": worst,
-        "seconds": time.time() - t0,
-    }
+    return _report("sinkhorn-vs-enumeration", seeds, failures, worst, t0)
 
 
 def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3, inject_fault=False):
@@ -128,14 +120,7 @@ def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3, inject_fault=False):
     enum_gap = exact_gwd_uniform(path, star)
     if gap < 0.05:
         failures.append(f"path-vs-star objective {gap:.4f} below 0.05 (enumeration {enum_gap:.4f})")
-    return {
-        "name": "gwd-isomorphism",
-        "checks": seeds + 6,
-        "failures": failures,
-        "passed": not failures,
-        "max_deviation": worst,
-        "seconds": time.time() - t0,
-    }
+    return _report("gwd-isomorphism", seeds + 6, failures, worst, t0)
 
 
 def gradient_suite(inject_fault=False):
@@ -215,14 +200,7 @@ def gradient_suite(inject_fault=False):
         )
         record(f"envelope-ga-seed{seed}", err, 1e-2)
 
-    return {
-        "name": "gradient-integrity",
-        "checks": 6,
-        "failures": failures,
-        "passed": not failures,
-        "max_deviation": worst,
-        "seconds": time.time() - t0,
-    }
+    return _report("gradient-integrity", 6, failures, worst, t0)
 
 
 def run_all(seeds=100, inject_fault=False):

@@ -123,10 +123,6 @@ class DetectionModel:
         out.update(self.flow.tensors())
         return out
 
-    @property
-    def embedding_dim(self):
-        return self.config.window * self.config.d_step
-
 
 def build_model(config, n_channels, seed=None):
     seed = config.seed if seed is None else seed
@@ -142,11 +138,11 @@ def build_model(config, n_channels, seed=None):
 class Adam:
     """Standard Adam over named parameter tensors."""
 
-    def __init__(self, params, learning_rate, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, learning_rate):
         self.params = list(params.values()) if isinstance(params, dict) else list(params)
         self.learning_rate = learning_rate
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.eps = 1e-8
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -187,7 +183,7 @@ def _embed(model, windows, training, dropout_rng):
 def _flow_rows(model, feats, embeddings):
     """Flow inputs and conditions, one row per (window, channel)."""
     rows = feats.shape[0] * feats.shape[1]
-    return feats.reshape(rows, model.config.window), ad.reshape(embeddings, (rows, model.embedding_dim))
+    return feats.reshape(rows, model.config.window), ad.reshape(embeddings, (rows, -1))
 
 
 def _forward_batch(model, windows, training, dropout_rng):

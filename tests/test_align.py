@@ -213,8 +213,8 @@ def test_active_set_stack_equals_single_solves(n, m):
     wd = _sinkhorn(costs, u, v, 0.05, 200, 1e-7, active_set=True)
     gwd = _entropic_gwd(adj_s, adj_t, u, v, 0.05, 20, 1e-8, 200, 1e-7, active_set=True)
     for k in range(6):
-        _assert_same_plan(wd.plan(k, u, v), sinkhorn_wd(costs[k], u, v, 0.05))
-        _assert_same_plan(gwd.plan(k, u, v), entropic_gwd(adj_s[k], adj_t[k], u, v, 0.05))
+        _assert_same_plan(wd.plan(k), sinkhorn_wd(costs[k], u, v, 0.05))
+        _assert_same_plan(gwd.plan(k), entropic_gwd(adj_s[k], adj_t[k], u, v, 0.05))
     assert len(set(wd.iterations)) > 1 and len(set(gwd.iterations)) > 1
     assert gwd.converged.any() and not gwd.converged.all()
     # C-ordered pseudo-costs: a transposed layout reorders the Sinkhorn sums and moves the bits

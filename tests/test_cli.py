@@ -69,6 +69,20 @@ def test_synth_bad_interval_shows_example(tmp_path, capsys):
     assert "START:STOP" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf"),
+    ("--length", "-5"), ("--length", "0"), ("--seed", "-1"),
+])
+def test_synth_bad_flag_value_exit_1_without_output(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    argv = ["synth", "--channels", "4", "--length", "400", "--seed", "1", "--out", str(out)]
+    assert main(argv + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("tsgad: configuration error: ")
+    assert flag.lstrip("-") in err
+    assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
+
 def test_synth_deterministic_bytes(tmp_path):
     a = _synth(tmp_path, "a.csv")
     b = _synth(tmp_path, "b.csv")
@@ -421,6 +435,14 @@ def test_oracle_pass_and_fault_injection(tmp_path):
     results = json.loads((tmp_path / "oracle.json").read_text())
     assert all(suite["passed"] for suite in results)
     assert main(["oracle", "--seeds", "4", "--inject-fault"]) == 4
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_oracle_without_seeds_exit_1_before_any_suite(tmp_path, capsys, monkeypatch, seeds):
+    monkeypatch.setattr(cli, "run_all", _refuse)
+    assert main(["oracle", "--seeds", seeds, "--out", str(tmp_path / "oracle.json")]) == 1
+    assert "--seeds must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.json").exists()
 
 
 

@@ -58,6 +58,14 @@ def test_non_numeric_cell_reports_row_and_column(tmp_path):
         read_series(path)
 
 
+@pytest.mark.parametrize("header, repeated", [("a,b,label,label", "label"), ("a,a,label", "a")])
+def test_repeated_header_name_rejected(tmp_path, header, repeated):
+    cells = ",".join("0" for _ in header.split(","))
+    path = _write(tmp_path, f"{header}\n{cells}\n")
+    with pytest.raises(DataFormatError, match=f"column '{repeated}' appears more than once"):
+        read_series(path)
+
+
 def test_roundtrip_exact(tmp_path):
     ds = synth_generate(4, 300, [("spike", 50, 60)], seed=3)
     path = tmp_path / "rt.csv"

@@ -33,6 +33,13 @@ def _tiny_training_pair(seed=3, length=400, anomalies=()):
     return split_normalize(ds, 0.6)
 
 
+def test_submodule_attribute_is_the_module():
+    """The package re-exports nothing, so ``tsgad.train`` names the module, not its function."""
+    import tsgad.train
+
+    assert tsgad.train.TrainConfig is TrainConfig
+
+
 # quartiles / threshold / auc unit semantics
 
 def test_quartiles_linear_interpolation_example():
