@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -663,17 +664,34 @@ def _worker_count():
 
 
 def _in_threads(fn, tasks):
-    """``[fn(t) for t in tasks]`` on one thread per CPU; the first error raised reaches the caller."""
-    if len(tasks) == 1:
-        return [fn(tasks[0])]
-    # imported here, not at module load: it loads logging, which the lockstep route never needs
-    from concurrent.futures import ThreadPoolExecutor
+    """``[fn(t) for t in tasks]`` on the calling thread and one more thread per other CPU (one
+    glibc malloc arena fewer than a pool of a thread per CPU), each taking the next task from one
+    shared iterator; the first error raised reaches the caller, and no task starts after it."""
+    workers = min(_worker_count(), len(tasks))
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    results, errors, pending, lock = [None] * len(tasks), [], enumerate(tasks), threading.Lock()
 
-    pool = ThreadPoolExecutor(min(_worker_count(), len(tasks)))
-    try:
-        return list(pool.map(fn, tasks))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def work():
+        while True:
+            with lock:
+                i, task = (None, None) if errors else next(pending, (None, None))
+            if i is None:
+                return
+            try:
+                results[i] = fn(task)
+            except BaseException as exc:  # raised again on the calling thread
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass

@@ -9,44 +9,34 @@ embeddings are a differentiable function of window contents, attention
 parameters, and encoder weights.
 
 With the tape on, ``encode_batch`` is a single tape node (Hochreiter &
-Schmidhuber 1997 for the cell, Werbos 1990 for backpropagation through
-time). Its forward is plain numpy and saves, per step, only the four gates
-and the cell state c, five (B*N, h) arrays; the backward recomputes tanh(c),
-h, A @ H and the readout's ReLU input from them with the forward's
-expressions, in the forward's order. The backward sums in the order a tape
-of one node per op would, so gradients are bit-identical to that
-composition:
-
-- the readout backward runs first, for t = 0 .. T-1, one step at a time (a
-  reverse-order or a stacked readout reorders the sums into w_mix,
-  w_history, w_project and the adjacency);
-- each step's adjacency gradient is added into the adjacency node as it is
-  made, because alignment also feeds that node and summing the steps first
-  would reorder its total;
-- then the recurrence backward runs for t = T-1 .. 0.
+Schmidhuber 1997 for the cell, Werbos 1990 for backpropagation through time)
+whose tape is h and c alone, two (T + 1, B*N, h) slabs with the zero state at
+index 0. The backward recomputes each step's gates with the forward's own
+``_Cell`` on the forward's own blocks (compute traded for memory, Chen et al.
+2016) and sums in the order a tape of one node per op would, so gradients are
+bit-identical to that composition: the readout first, t = 0 .. T-1 (a
+reverse-order or stacked readout reorders the sums into w_mix, w_history,
+w_project and the adjacency), adding each step's adjacency gradient into the
+node as it is made (alignment also feeds it); then the recurrence, last step
+first, with its parameter-gradient GEMMs and sums over the whole batch.
 
 The forward runs over blocks of at most ``_BLOCK_ROWS`` B*N rows (whole
-windows), one block after another, so a step's working set stays in cache.
-Each block makes its buffers once and every step writes into them through
-``out=``; the step outputs land in one (T, B, N, d_step) array, transposed
-once at the end. With the tape on, the gates and c go straight into five
-(T, B*N, h) slabs, each block filling its own rows. The bits do not depend
-on the blocking: windows are independent in the forward, every element goes
-through the same ufuncs on contiguous input, and each GEMM keeps its K order.
+windows) in buffers made once, so a step's working set stays in cache; the
+bits do not depend on the blocking, as windows are independent, every element
+meets the same ufuncs on contiguous input and each GEMM keeps its K order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
-# B*N rows per block of the forward: the block's 19 (rows, h) buffers then
-# take about 5 MB at h = 32 and stay in cache from one step to the next
-# (at (256, 80, 25), 512 to 1024 rows ran fastest; 6400, one block, 40% slower)
+# B*N rows per block: the block's 23 (rows, h) buffers (27 without a tape), 6 to 7 MB at h = 32,
+# stay in cache between steps (at (256, 80, 25), 512 to 1024 rows ran fastest; 6400, 40% slower)
 _BLOCK_ROWS = 1024
 
 
@@ -68,14 +58,7 @@ class EncoderParams:
         return self.w_project.data.shape[1]
 
     def tensors(self):
-        return {
-            "encoder.w_input": self.w_input,
-            "encoder.w_hidden": self.w_hidden,
-            "encoder.bias": self.bias,
-            "encoder.w_mix": self.w_mix,
-            "encoder.w_history": self.w_history,
-            "encoder.w_project": self.w_project,
-        }
+        return {f"encoder.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def init_encoder(hidden, d_step, rng, out_scale=1.0):
@@ -111,139 +94,155 @@ def encode_batch(windows, adjacency, params):
     adjacency = ad.as_tensor(adjacency)
     if adjacency.shape != (n_batch, n_chan, n_chan):
         raise ValueError(f"adjacency must be {(n_batch, n_chan, n_chan)}, got {adjacency.shape}")
-    rows = n_batch * n_chan
-    h = params.hidden
-    d_step = params.d_step
+    rows, h, d_step = n_batch * n_chan, params.hidden, params.d_step
     weights = tuple(params.tensors().values())
-    _, w_hidden, _, w_mix, w_history, w_project = (w.data for w in weights)
+    w = tuple(t.data for t in weights)
     a = adjacency.data
     taping = ad._tracking(adjacency, *weights)
 
     x_steps = np.ascontiguousarray(windows.transpose(1, 0, 2))  # (T, B, N)
     out_steps = np.empty((n_steps, n_batch, n_chan, d_step))
-    slabs = tuple(np.empty((n_steps, rows, h)) for _ in range(5)) if taping else None
+    hs, cs = np.zeros((2, n_steps + 1, rows, h)) if taping else (None, None)  # the tape
     n_blocks = -(-n_batch // max(1, _BLOCK_ROWS // n_chan))
     edges = [n_batch * k // n_blocks for k in range(n_blocks + 1)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block_slabs = None if slabs is None else tuple(s[:, lo * n_chan : hi * n_chan] for s in slabs)
-        _forward_block(x_steps[:, lo:hi], a[lo:hi], params, out_steps[:, lo:hi], block_slabs)
+    blocks = [(slice(lo, hi), slice(lo * n_chan, hi * n_chan)) for lo, hi in zip(edges[:-1], edges[1:])]
+    for win, r in blocks:
+        _forward_block(x_steps[:, win], a[win], w, out_steps[:, win], None if hs is None else (hs[:, r], cs[:, r]))
     out = np.ascontiguousarray(out_steps.transpose(1, 2, 0, 3)).reshape(n_batch, n_chan, n_steps * d_step)
     if not taping:
         return Tensor._make(out, (), None)
     x_cols = x_steps.reshape(n_steps, rows, 1)
-    saved = list(zip(*slabs))  # per step: the four gates and c, (B*N, h) views
+    _, w_hidden, _, w_mix, w_history, w_project = w
+    wt_hidden, wt_mix, wt_history, wt_project, a_t = (_swap(m) for m in (w_hidden, w_mix, w_history, w_project, a))
 
     def accumulate(tensor, grad):
         if tensor.requires_grad:
             tensor._accumulate(grad)
 
     def readout_backward(grad):
-        """Readout gradients, t = 0 .. T-1; returns d loss / d h_t for every step."""
-        d_hidden = []
-        h_prev3 = np.zeros((n_batch, n_chan, h))
-        for t, (_, _, _, gate_out, c) in enumerate(saved):
-            h_now3 = (gate_out * np.tanh(c)).reshape(n_batch, n_chan, h)
-            mixed_in, relu_in = _readout_input(a, h_now3, h_prev3, w_mix, w_history)
-            g_out = np.ascontiguousarray(grad[:, :, t * d_step : (t + 1) * d_step])
-            accumulate(params.w_project, np.matmul(_swap(np.maximum(relu_in, 0.0)), g_out).sum(axis=0))
-            g_relu = np.matmul(g_out, _swap(w_project)) * (relu_in > 0.0)
+        """Readout gradients, t = 0 .. T-1; returns d loss / d h_t for every step, (T, B*N, h)."""
+        d_hidden = np.empty((n_steps, n_batch, n_chan, h))
+        g_steps = np.ascontiguousarray(grad.reshape(n_batch, n_chan, n_steps, d_step).transpose(2, 0, 1, 3))
+        mixed_in, relu_in, scratch, g_relu, g_mixed_in = np.empty((5, n_batch, n_chan, h))
+        for t, g_out in enumerate(g_steps):
+            h_prev3, h_now3 = hs[t : t + 2].reshape(2, n_batch, n_chan, h)
+            _readout_input(a, h_now3, h_prev3, w_mix, w_history, mixed_in, relu_in, scratch)
+            accumulate(params.w_project, np.matmul(_swap(np.maximum(relu_in, 0.0, out=scratch)), g_out).sum(axis=0))
+            np.multiply(np.matmul(g_out, wt_project, out=g_relu), relu_in > 0.0, out=g_relu)
             accumulate(params.w_mix, np.matmul(_swap(mixed_in), g_relu).sum(axis=0))
-            g_mixed_in = np.matmul(g_relu, _swap(w_mix))
+            np.matmul(g_relu, wt_mix, out=g_mixed_in)
             accumulate(adjacency, np.matmul(g_mixed_in, _swap(h_now3)))
             accumulate(params.w_history, np.matmul(_swap(h_prev3), g_relu).sum(axis=0))
-            d_hidden.append(np.matmul(_swap(a), g_mixed_in).reshape(rows, h))
+            np.matmul(a_t, g_mixed_in, out=d_hidden[t])
             if t > 0:
-                d_hidden[t - 1] = d_hidden[t - 1] + np.matmul(g_relu, _swap(w_history)).reshape(rows, h)
-            h_prev3 = h_now3
-        return d_hidden
-
-    def recurrence_backward(d_hidden):
-        """Gated-cell gradients, t = T-1 .. 0."""
-        d_h_next = d_c_next = None
-        for t in reversed(range(n_steps)):
-            gate_in, gate_forget, candidate, gate_out, c = saved[t]
-            if t > 0:
-                c_prev = saved[t - 1][4]
-                h_prev = saved[t - 1][3] * np.tanh(c_prev)
-            else:
-                c_prev = h_prev = np.zeros((rows, h))
-            d_h = d_hidden[t] if d_h_next is None else d_hidden[t] + d_h_next
-            tanh_c = np.tanh(c)
-            d_c = d_h * gate_out * (1.0 - tanh_c * tanh_c)
-            if d_c_next is not None:
-                d_c = d_c + d_c_next
-            d_pre = np.empty((rows, 4 * h))
-            d_pre[:, 0:h] = d_c * candidate * gate_in * (1.0 - gate_in)
-            d_pre[:, h : 2 * h] = d_c * c_prev * gate_forget * (1.0 - gate_forget)
-            d_pre[:, 2 * h : 3 * h] = d_c * gate_in * (1.0 - candidate * candidate)
-            d_pre[:, 3 * h : 4 * h] = d_h * tanh_c * gate_out * (1.0 - gate_out)
-            accumulate(params.bias, d_pre.sum(axis=0, keepdims=True))
-            accumulate(params.w_input, np.matmul(_swap(x_cols[t]), d_pre))
-            accumulate(params.w_hidden, np.matmul(_swap(h_prev), d_pre))
-            d_h_next = np.matmul(d_pre, _swap(w_hidden))
-            d_c_next = d_c * gate_forget
+                np.add(d_hidden[t - 1], np.matmul(g_relu, wt_history, out=scratch), out=d_hidden[t - 1])
+        return d_hidden.reshape(n_steps, rows, h)
 
     def backward(grad):
-        recurrence_backward(readout_backward(grad))
+        """The cell's gradients, t = T-1 .. 0, after the readout's: elementwise work on the forward's
+        blocks (buffers made once per block size), parameter-gradient GEMMs and sums over the batch."""
+        d_hidden = readout_backward(grad)
+        # per block size: a cell, then tanh(c_t), d_c, a factor, 1 - the sigmoid gates, d_pre's quarters
+        work = {n: (_Cell(n, w), np.empty((10, n, h))) for n in {r.stop - r.start for _, r in blocks}}
+        d_pre, d_h_next, d_c_next = np.empty((rows, 4 * h)), np.empty((rows, h)), np.empty((rows, h))
+        for t in reversed(range(n_steps)):
+            for _, r in blocks:
+                cell, buffers = work[r.stop - r.start]
+                tanh_c, d_c, factor, one_minus, d_quarters = *buffers[:3], buffers[3:6], buffers[6:]
+                gate_in, gate_forget, gate_out, candidate = gates = cell.step(x_cols[t, r], hs[t, r])
+                d_h = d_hidden[t, r]
+                if t < n_steps - 1:
+                    np.add(d_h, d_h_next[r], out=d_h)
+                np.tanh(cs[t + 1, r], out=tanh_c)
+                # d_c = d_h * gate_out * (1 - tanh_c^2), plus the carry from step t + 1
+                np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=factor), out=factor)
+                np.multiply(np.multiply(d_h, gate_out, out=d_c), factor, out=d_c)
+                if t < n_steps - 1:
+                    np.add(d_c, d_c_next[r], out=d_c)
+                # sigmoid gates: (d_c * candidate, d_c * c_{t-1}, d_h * tanh_c) * gate * (1 - gate)
+                np.multiply(d_c, candidate, out=d_quarters[0])
+                np.multiply(d_c, cs[t, r], out=d_quarters[1])
+                np.multiply(d_h, tanh_c, out=d_quarters[2])
+                np.multiply(d_quarters[:3], gates[:3], out=d_quarters[:3])
+                np.multiply(d_quarters[:3], np.subtract(1.0, gates[:3], out=one_minus), out=d_quarters[:3])
+                # the candidate: d_c * gate_in * (1 - candidate^2)
+                np.subtract(1.0, np.multiply(candidate, candidate, out=factor), out=factor)
+                np.multiply(np.multiply(d_c, gate_in, out=d_quarters[3]), factor, out=d_quarters[3])
+                _restack(d_quarters, d_pre[r])
+                np.multiply(d_c, gate_forget, out=d_c_next[r])
+            accumulate(params.bias, d_pre.sum(axis=0, keepdims=True))
+            accumulate(params.w_input, np.matmul(_swap(x_cols[t]), d_pre))
+            accumulate(params.w_hidden, np.matmul(_swap(hs[t]), d_pre))
+            np.matmul(d_pre, wt_hidden, out=d_h_next)
 
     return Tensor._make(out, (adjacency,) + weights, backward)
 
 
-def _forward_block(x_steps, a, params, out_steps, slabs):
-    """The recurrence and readout over one block of windows, in buffers made once.
-
-    ``x_steps`` is the block's (T, b, N) inputs and ``a`` its (b, N, N)
-    adjacency; step t's output goes to ``out_steps[t]``, a (b, N, d_step)
-    view. ``slabs``, when taping, are the block's rows of the five (T, rows, h)
-    arrays the backward reads: step t's gates and c are written straight
-    into them. Every expression is the one the backward recomputes, applied
-    through ``out=`` in the same order.
-    """
+def _forward_block(x_steps, a, weights, out_steps, states):
+    """The recurrence and readout over one block of windows, (T, b, N) ``x_steps`` and
+    (b, N, N) ``a``, into the (T, b, N, d_step) view ``out_steps``. ``states``, when
+    taping, are the block's rows of the h and c slabs, index t holding the state before
+    step t; without a tape, h and c alternate in a ring of two."""
     n_steps, n_windows, n_chan = x_steps.shape
-    rows, h = n_windows * n_chan, params.hidden
-    w_input, w_hidden, bias, w_mix, w_history, w_project = (w.data for w in params.tensors().values())
-    pre, recurrent = np.empty((rows, 4 * h)), np.empty((rows, 4 * h))
-    scratch, product = np.empty((rows, h)), np.empty((rows, h))
-    h_prev, h_now = np.zeros((rows, h)), np.empty((rows, h))
-    c_prev = np.zeros((rows, h))
-    mixed, relu_in = np.empty((n_windows, n_chan, h)), np.empty((n_windows, n_chan, h))
-    if slabs is None:  # no tape: one set of gates, and c updated in place
-        step_arrays = tuple(np.empty((rows, h)) for _ in range(4)) + (c_prev,)
+    _, w_hidden, _, w_mix, w_history, w_project = weights
+    rows, h = n_windows * n_chan, w_hidden.shape[0]
+    hs, cs = np.zeros((2, 2, rows, h)) if states is None else states
+    cell, product = _Cell(rows, weights), np.empty((rows, h))
+    mixed, relu_in, history = np.empty((3, n_windows, n_chan, h))
     for t in range(n_steps):
-        if slabs is not None:
-            step_arrays = tuple(s[t] for s in slabs)
-        gate_in, gate_forget, candidate, gate_out, c = step_arrays
-        np.matmul(x_steps[t].reshape(rows, 1), w_input, out=pre)
-        np.matmul(h_prev, w_hidden, out=recurrent)
-        np.add(pre, recurrent, out=pre)
-        np.add(pre, bias, out=pre)
-        # each gate from its own contiguous copy, as elementwise kernels may
-        # round differently on strided input
-        for k, gate in enumerate((gate_in, gate_forget, candidate, gate_out)):
-            np.copyto(gate, pre[:, k * h : (k + 1) * h])
-        for gate in (gate_in, gate_forget, gate_out):
-            ad.sigmoid_array(gate, out=gate, scratch=scratch)
-        np.tanh(candidate, out=candidate)
+        prev, now = t % len(hs), (t + 1) % len(hs)
+        h_prev, c_prev, h_now, c = hs[prev], cs[prev], hs[now], cs[now]
+        gate_in, gate_forget, gate_out, candidate = cell.step(x_steps[t].reshape(rows, 1), h_prev)
         np.multiply(gate_forget, c_prev, out=c)
         np.multiply(gate_in, candidate, out=product)
         np.add(c, product, out=c)
         np.tanh(c, out=product)
         np.multiply(gate_out, product, out=h_now)
-        # the readout, relu(A @ H_t @ w_mix + H_{t-1} @ w_history) @ w_project
-        np.matmul(a, h_now.reshape(n_windows, n_chan, h), out=mixed)
-        np.matmul(mixed, w_mix, out=relu_in)
-        np.matmul(h_prev.reshape(n_windows, n_chan, h), w_history, out=mixed)
-        np.add(relu_in, mixed, out=relu_in)
-        np.maximum(relu_in, 0.0, out=relu_in)
-        np.matmul(relu_in, w_project, out=out_steps[t])
-        h_prev, h_now, c_prev = h_now, h_prev, c
+        _readout_input(a, h_now, h_prev, w_mix, w_history, mixed, relu_in, history)
+        np.matmul(np.maximum(relu_in, 0.0, out=relu_in), w_project, out=out_steps[t])
 
 
-def _readout_input(a, h_now3, h_prev3, w_mix, w_history):
-    """``A @ H_t`` and the readout's ReLU input ``A @ H_t @ w_mix + H_{t-1} @ w_history``."""
-    mixed_in = np.matmul(a, h_now3)
-    return mixed_in, np.matmul(mixed_in, w_mix) + np.matmul(h_prev3, w_history)
+class _Cell:
+    """One step's gates for ``rows`` rows in buffers made once, stacked (in, forget, out,
+    candidate) in one (4, rows, h) array: the sigmoid gates are one contiguous run for one
+    ``sigmoid_array`` call, and each gate is contiguous (elementwise kernels may round
+    differently on strided input). The forward and the backward's recompute step a cell on
+    the same blocks, so the backward's gates are the forward's bit for bit."""
+
+    def __init__(self, rows, weights):
+        self.w_input, self.w_hidden, bias = weights[:3]
+        h = self.w_hidden.shape[0]
+        self.bias = np.tile(bias, (rows, 1))  # a broadcast add of the (1, 4h) row is slower
+        self.pre, self.recurrent = np.empty((2, rows, 4 * h))
+        self.gates, self.scratch = np.empty((4, rows, h)), np.empty((3, rows, h))
+
+    def step(self, x_col, h_prev):
+        # one term per entry: einsum forms x_t @ w_input as matmul does, zero signs included, and faster
+        np.einsum("ik,kj->ij", x_col, self.w_input, out=self.pre)
+        np.matmul(h_prev, self.w_hidden, out=self.recurrent)
+        np.add(self.pre, self.recurrent, out=self.pre)
+        np.add(self.pre, self.bias, out=self.pre)
+        _restack(self.pre, self.gates)
+        ad.sigmoid_array(self.gates[:3], out=self.gates[:3], scratch=self.scratch)
+        np.tanh(self.gates[3], out=self.gates[3])
+        return self.gates
+
+
+def _restack(src, dst):
+    """(rows, 4h) columns (in, forget, candidate, out) to a (4, rows, h) stack (in, forget, out, candidate), or back."""
+    src, dst = (m.reshape(m.shape[0], 4, -1).transpose(1, 0, 2) if m.ndim == 2 else m for m in (src, dst))
+    np.copyto(dst[:2], src[:2])
+    np.copyto(dst[2], src[3])
+    np.copyto(dst[3], src[2])
+
+
+def _readout_input(a, h_now, h_prev, w_mix, w_history, mixed, relu_in, history):
+    """``mixed = A @ H_t`` and the readout's ReLU input ``A @ H_t @ w_mix + H_{t-1} @ w_history``."""
+    np.matmul(a, h_now.reshape(mixed.shape), out=mixed)
+    np.matmul(mixed, w_mix, out=relu_in)
+    np.matmul(h_prev.reshape(mixed.shape), w_history, out=history)
+    np.add(relu_in, history, out=relu_in)
 
 
 def _swap(m):
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)

@@ -394,6 +394,8 @@ def score(ds, checkpoint):
     elif not (np.allclose(ds.norm_mean, mean) and np.allclose(ds.norm_std, std)):
         raise ConfigError("dataset was normalized with different statistics than the checkpoint")
 
+    if ds.length < cfg.window:
+        raise DataFormatError(f"series length {ds.length} is shorter than the checkpoint's window {cfg.window}")
     model = model_from_checkpoint(checkpoint)
     windows, starts, labels = window_table(ds, cfg.window, cfg.stride)
     parts = _score_windows(model, windows)

@@ -1,3 +1,8 @@
+import collections
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -245,6 +250,65 @@ def test_batch_alignment_worker_error_reaches_caller(monkeypatch):
     with pytest.raises(FloatingPointError, match="transport cost is not finite") as raised:
         batch_alignment(Tensor(emb), Tensor(adj), lam=0.1, beta=0.05)
     assert raised.type is FloatingPointError
+
+
+def _in_threads_bounded(fn, tasks, seconds=60.0):
+    """``align._in_threads`` on a watched thread: it must finish within ``seconds``."""
+    outcome = {}
+
+    def run():
+        outcome["caller"] = threading.get_ident()
+        try:
+            outcome["results"] = align._in_threads(fn, tasks)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    watched = threading.Thread(target=run, daemon=True)
+    watched.start()
+    watched.join(timeout=seconds)
+    assert not watched.is_alive(), "_in_threads did not finish"
+    return outcome
+
+
+def test_in_threads_runs_each_task_once_in_order(monkeypatch):
+    # more workers than CPUs, switching threads as often as the interpreter allows:
+    # two workers taking the same task, or a task no worker takes, breaks the counts
+    monkeypatch.setattr(align, "_worker_count", lambda: 8)
+    calls, threads, lock = collections.Counter(), set(), threading.Lock()
+
+    def fn(task):
+        with lock:
+            calls[task] += 1
+            threads.add(threading.get_ident())
+        time.sleep(0.0005)
+        return task * task
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcome = _in_threads_bounded(fn, list(range(300)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcome["results"] == [t * t for t in range(300)]
+    assert sorted(calls) == list(range(300)) and set(calls.values()) == {1}
+    # the thread that called _in_threads is one of the workers
+    assert outcome["caller"] in threads and len(threads) > 1
+
+
+def test_in_threads_first_error_stops_the_workers(monkeypatch):
+    monkeypatch.setattr(align, "_worker_count", lambda: 4)
+    started = []
+
+    def fn(task):
+        started.append(task)
+        if task == 5:
+            raise FloatingPointError(f"task {task}")
+        time.sleep(0.002)
+        return task
+
+    outcome = _in_threads_bounded(fn, list(range(400)))
+    assert isinstance(outcome["error"], FloatingPointError) and str(outcome["error"]) == "task 5"
+    assert len(started) < 400
 
 
 def test_gwd_cost_zero_for_identical_identity_plan():

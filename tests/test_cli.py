@@ -310,6 +310,23 @@ def test_score_single_window_exit_2(tmp_path, capsys):
     assert not (tmp_path / "s.scores.csv").exists()
 
 
+def test_score_series_shorter_than_window_exit_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ckpt = _train(tmp_path, data)
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(data.read_text().splitlines()[:20]) + "\n")  # 19 rows, window 20
+    code = main(["score", "--data", str(short), "--checkpoint", str(ckpt), "--split", "all",
+                 "--out-prefix", str(tmp_path / "s")])
+    assert code == 2
+    assert "series length 19 is shorter than the checkpoint's window 20" in capsys.readouterr().err
+    assert not (tmp_path / "s.scores.csv").exists()
+    # a training window longer than the series stays a configuration error
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--seed", "3",
+                 *FAST_TRAIN, "--window", "401"])
+    assert code == 1
+    assert "window 401 exceeds series length" in capsys.readouterr().err
+
+
 def _edit_checkpoint(src, dst, edit):
     checkpoint = json.loads(src.read_text())
     edit(checkpoint)

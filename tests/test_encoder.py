@@ -199,8 +199,19 @@ def test_multi_block_forward_bit_identical_to_tape_composition(monkeypatch):
         forward_block(x_steps, *rest)
 
     monkeypatch.setattr(encoder, "_forward_block", record)
+    step_rows = []
+    step = encoder._Cell.step
+
+    def record_step(cell, x_col, h_prev):
+        step_rows.append(h_prev.shape[0])
+        return step(cell, x_col, h_prev)
+
+    monkeypatch.setattr(encoder._Cell, "step", record_step)
     emb, grads = _gradients(encode_batch, 2, shape)
     assert sum(blocks) == shape[0] and len(blocks) >= 3 and len(set(blocks)) > 1, blocks
+    # the forward and the backward's recompute stepped the cell on the same ragged blocks
+    block_rows = [b * shape[2] for b in blocks]
+    assert sorted(step_rows) == sorted(block_rows * 2 * shape[1]), step_rows
     ref_emb, ref_grads = _gradients(_reference_encode, 2, shape)
     assert np.array_equal(emb, ref_emb)
     for name, grad in ref_grads.items():
@@ -262,7 +273,7 @@ def test_adjacency_shape_must_match_the_batch():
 
 
 def test_taped_forward_holds_a_few_arrays_per_step():
-    """The tape keeps the four gates and c per step, not every intermediate of the cell."""
+    """The tape keeps h and c per step, two (B*N, h) arrays, and no gate."""
     n_batch, n_steps, n_chan, hidden = 16, 40, 5, 32
     params = init_encoder(hidden, 4, np.random.default_rng(26))
     windows = np.random.default_rng(27).normal(size=(n_batch, n_steps, n_chan))
@@ -276,4 +287,24 @@ def test_taped_forward_holds_a_few_arrays_per_step():
         tracemalloc.stop()
     assert emb.requires_grad
     array_bytes = n_batch * n_chan * hidden * 8
-    assert held <= 8 * n_steps * array_bytes, held / (n_steps * array_bytes)
+    assert held <= 3 * n_steps * array_bytes, held / (n_steps * array_bytes)
+
+
+def test_taped_backward_holds_a_few_arrays_per_step():
+    """Forward and backward together peak at a few (B*N, h) arrays per step
+    (the h and c slabs, d loss / d h_t, the embeddings and their gradient),
+    with the gates recomputed over more than one block of rows."""
+    n_batch, n_steps, n_chan, hidden = 64, 20, 25, 32
+    assert n_batch * n_chan > encoder._BLOCK_ROWS
+    params = init_encoder(hidden, 8, np.random.default_rng(30))
+    windows = np.random.default_rng(31).normal(size=(n_batch, n_steps, n_chan))
+    adjacency = Tensor(np.full((n_batch, n_chan, n_chan), 1.0 / n_chan), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ad.backward(ad.sum_(encode_batch(windows, adjacency, params)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    array_bytes = n_batch * n_chan * hidden * 8
+    assert peak <= 5 * n_steps * array_bytes, peak / (n_steps * array_bytes)
