@@ -10,10 +10,11 @@ Each solver has one implementation, over a stack of K same-shape problems
 (one numpy call per update for the whole stack): ``_sinkhorn`` and
 ``_entropic_gwd``. The stack stops in one of two modes. In lockstep it
 shares one stopping rule: it stops when every problem meets its own. In
-active-set mode each problem leaves the stack when it meets its rule (or
-the cap), keeping its own plan, duals and iteration count, and
-the rest of the stack is compacted; the arithmetic is slice-independent,
-so each problem comes out bit-identical to its solve as a stack of one.
+active-set mode a problem that meets its rule stays in the stack frozen:
+it keeps its potentials or plan and records its iteration while the rest
+iterate, and the stack stops when every problem has met its rule (or at
+the cap). The arithmetic is slice-independent, so each problem comes out
+bit-identical to its solve as a stack of one.
 ``sinkhorn_wd``, ``entropic_gwd`` and ``gwd_cost`` validate their inputs and
 call the core with K = 1. ``batch_alignment`` solves its windows as one
 lockstep stack while the stacked problem is small (B N^4 <= 2e6). Otherwise
@@ -61,15 +62,18 @@ class TransportPlan:
     marginal_error: float
 
 
-def _check_marginals(u, v, n, m):
+def _check_problem(u, v, n, m, beta):
+    """The marginals as float64 arrays, once they and ``beta`` are valid (comparisons fail on NaN)."""
+    if not (np.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != (n,) or v.shape != (m,):
         raise ValueError(f"marginal shapes {u.shape}/{v.shape} do not match cost {n}x{m}")
     for name, w in (("source", u), ("target", v)):
-        if np.any(w <= 0.0):
-            raise ValueError(f"{name} marginal must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-8:
+        if not np.all((w > 0.0) & np.isfinite(w)):
+            raise ValueError(f"{name} marginal must be finite and strictly positive")
+        if not abs(w.sum() - 1.0) <= 1e-8:
             raise ValueError(f"{name} marginal must sum to 1, got {w.sum()!r}")
     return u, v
 
@@ -116,23 +120,6 @@ class _Stack:
     converged: np.ndarray  # (K,) each problem met its stopping rule
     duals: tuple = None  # scaled potentials, (K, n) and (K, m): the GW loop's warm start
 
-    @classmethod
-    def empty_like(cls, part, k):
-        """A stack of ``k`` unset slots shaped like the stack ``part``."""
-        def slots(a):
-            return np.empty((k,) + a.shape[1:], dtype=a.dtype)
-
-        return cls(slots(part.plans), slots(part.objectives), slots(part.errors),
-                   slots(part.iterations), slots(part.converged),
-                   None if part.duals is None else tuple(slots(d) for d in part.duals))
-
-    def put(self, ids, part):
-        """Write the problems of stack ``part`` into slots ``ids``."""
-        for name in ("plans", "objectives", "errors", "iterations", "converged"):
-            getattr(self, name)[ids] = getattr(part, name)
-        if part.duals is not None:
-            self.duals[0][ids], self.duals[1][ids] = part.duals
-
     def plan(self, k):
         """Problem ``k`` of the stack as a TransportPlan."""
         return TransportPlan(
@@ -173,22 +160,16 @@ def _round_to_marginals(plans, u, v):
     )
 
 
-def _rounded(plans, costs, u, v, iterations, converged, duals):
-    """Plans rounded onto the transport polytope, with their costs and how they stopped."""
-    plans = _round_to_marginals(plans, u, v)
-    k = len(plans)
-    return _Stack(plans, np.einsum("kij,kij->k", plans, costs), _marginal_errors(plans, u, v),
-                  np.full(k, iterations), np.full(k, converged), duals)
-
-
 def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set=False):
     """Log-domain Sinkhorn over a (K, n, m) stack of costs.
 
     In lockstep the stack iterates until every problem's L1 marginal
-    violation is below ``tol``; with ``active_set`` each problem leaves the
-    stack at its own violation below ``tol``. Either way at most ``max_iter``
-    times, and each plan is then rounded onto the transport polytope.
-    A non-finite cost raises FloatingPointError instead of yielding NaN plans.
+    violation is below ``tol``. With ``active_set`` a problem whose own
+    violation is below ``tol`` keeps the potentials that met it from then on,
+    and the stack iterates until every problem is frozen. Either way at most
+    ``max_iter`` times; the whole stack is then rounded onto the transport
+    polytope once. A non-finite cost raises FloatingPointError instead of
+    yielding NaN plans.
     """
     if not np.all(np.isfinite(costs)):
         raise FloatingPointError("transport cost is not finite")
@@ -202,33 +183,29 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
         f = np.zeros((k, n))
         g = np.zeros((k, m))
     plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
-    out = None  # the problems that left an active-set stack early
-    live = np.arange(k)  # problems still in the stack, in index order
-    met = False
+    met = np.zeros(k, dtype=bool)  # the problems that met their rule
+    ran = np.zeros(k, dtype=int)  # active set: the iterations each problem ran
     iterations = 0
     for iterations in range(1, max_iter + 1):
+        last = f, g
         f = loga - _logsumexp(g[:, None, :] - scaled, axis=2)
         g = logb - _logsumexp(f[:, :, None] - scaled, axis=1)
+        if active_set:  # a frozen problem keeps the potentials that met its rule
+            f = np.where(met[:, None], last[0], f)
+            g = np.where(met[:, None], last[1], g)
         plans = np.exp(f[:, :, None] + g[:, None, :] - scaled)
         errors = _marginal_errors(plans, u, v)
         if active_set:
-            met = errors < tol
-            if met.all() or iterations == max_iter:
+            ran[~met] = iterations
+            met = errors < tol  # a frozen problem's plan and error repeat, bit for bit
+            if met.all():
                 break
-            if met.any():
-                part = _rounded(plans[met], costs[met], u, v, iterations, True, (f[met], g[met]))
-                out = out or _Stack.empty_like(part, k)
-                out.put(live[met], part)
-                keep = ~met
-                live, costs, scaled, f, g = live[keep], costs[keep], scaled[keep], f[keep], g[keep]
         elif errors.max() < tol:
-            met = True
+            met[:] = True
             break
-    rest = _rounded(plans, costs, u, v, iterations, met, (f, g))
-    if out is None:
-        return rest
-    out.put(live, rest)
-    return out
+    plans = _round_to_marginals(plans, u, v)
+    return _Stack(plans, np.einsum("kij,kij->k", plans, costs), _marginal_errors(plans, u, v),
+                  ran if active_set else np.full(k, iterations), met, (f, g))
 
 
 _DENSE_QUARTET_LIMIT = 250_000  # entries of one stack's pseudo-cost tables
@@ -281,19 +258,6 @@ def _factorized_tables(a_s, a_t):
     return a_s, sorted_vals, chunks
 
 
-def _keep_tables(tables, keep):
-    """The factorized tables of the problems in mask ``keep``, re-indexed to their new slots."""
-    a_s, sorted_vals, chunks = tables
-    kept = np.flatnonzero(keep)
-    moved = (np.arange(kept.size) - kept)[:, None, None, None]
-    n, m = a_s.shape[1], sorted_vals.shape[2]
-    return a_s[kept], sorted_vals[kept], [
-        (rows, gather[kept] + moved * (n * m),
-         flat[kept] + moved * (n * (rows.stop - rows.start) * (m + 1)))
-        for rows, gather, flat in chunks
-    ]
-
-
 def _factorized_pseudo_costs(tables, plans):
     """``G[k, i, j] = sum_{i',j'} plans[k, i', j'] |A_s[k, i, i'] - A_t[k, j, j']|`` from prefix sums.
 
@@ -329,7 +293,7 @@ class _QuartetCosts:
     that does not depend on the plans is built once here, so that every
     outer GW step reuses it: the dense maps contract the difference tensor,
     the factorized maps read prefix sums through the sort and search tables.
-    ``keep`` drops the problems that have left an active-set stack.
+    Problems frozen in an active-set stack stay in the tables.
     """
 
     def __init__(self, adj_s, adj_t, dense):
@@ -350,9 +314,6 @@ class _QuartetCosts:
             return np.einsum("kab,kabij->kij", plans, self.tables, optimize=True)
         return _factorized_pseudo_costs(self.tables[1], plans)
 
-    def keep(self, keep):
-        self.tables = self.tables[keep] if self.dense else [_keep_tables(t, keep) for t in self.tables]
-
 
 def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, active_set=False):
     """Projected-gradient entropic GW over stacks (K, n, n) vs (K, m, m).
@@ -360,10 +321,11 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
     Each outer step linearizes the quartet objective at the current plans
     and projects with Sinkhorn, warm started from the previous duals. In
     lockstep the stack stops when its plans stop moving or every problem's
-    objective has stalled for three steps; with ``active_set`` each problem
-    leaves the stack when its own plan stops moving or its own objective has
-    stalled, and its inner Sinkhorn solves stop one by one too. Each problem
-    returns its best iterate.
+    objective has stalled for three steps. With ``active_set`` a problem
+    whose own plan stops moving or whose own objective has stalled keeps its
+    plan and best iterate from then on, and the stack iterates until every
+    problem is frozen; its inner Sinkhorn solves freeze problem by problem
+    too. Each problem returns its best iterate.
     """
     k, n = adj_s.shape[:2]
     m = adj_t.shape[1]
@@ -374,52 +336,34 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
     best_objs = np.einsum("kij,kij->k", plans, pseudo)
     best_errs = np.zeros(k)
     stalled = np.zeros(k, dtype=int)
-    out = None  # the problems that left an active-set stack early
-    live = np.arange(k)  # problems still in the stack, in index order
+    met = np.zeros(k, dtype=bool)  # the problems that met their rule
+    ran = np.zeros(k, dtype=int)  # active set: the outer steps each problem ran
     duals = None
-    met = False
     iterations = 0
-
-    def stopped(sel, converged):
-        """The live problems in mask ``sel`` as a stack of their best iterates."""
-        count = np.count_nonzero(sel)
-        return _Stack(best_plans[sel], best_objs[sel], best_errs[sel], np.full(count, iterations),
-                      np.full(count, converged))
-
     for iterations in range(1, outer_iter + 1):
         direction = 0.5 * (pseudo + quartet.backward(plans))
         step = _sinkhorn(direction, u, v, beta, sink_iter, sink_tol, duals, active_set)
         moved = np.abs(step.plans - plans)
-        plans, duals = step.plans, step.duals
+        # a frozen problem keeps its plan, so its pseudo-cost and objective repeat
+        plans = np.where(met[:, None, None], plans, step.plans) if active_set else step.plans
+        duals = step.duals
         pseudo = quartet.forward(plans)
         objs = np.einsum("kij,kij->k", plans, pseudo)
         improved = objs < best_objs - _OBJ_TOL * np.maximum(1.0, np.abs(best_objs))
-        take = objs <= best_objs
+        take = (objs <= best_objs) & ~met  # a frozen problem's inner solve still moves its error
         best_plans[take] = plans[take]
         best_errs[take] = step.errors[take]
         best_objs = np.minimum(best_objs, objs)
         stalled = np.where(improved, 0, stalled + 1)
         if active_set:
-            met = (moved.max(axis=(1, 2)) < tol) | (stalled >= 3)
-            if met.all() or iterations == outer_iter:
+            ran[~met] = iterations
+            met = met | (moved.max(axis=(1, 2)) < tol) | (stalled >= 3)
+            if met.all():
                 break
-            if met.any():
-                part = stopped(met, True)
-                out = out or _Stack.empty_like(part, k)
-                out.put(live[met], part)
-                keep = ~met
-                live, plans, pseudo, stalled = live[keep], plans[keep], pseudo[keep], stalled[keep]
-                best_plans, best_objs, best_errs = best_plans[keep], best_objs[keep], best_errs[keep]
-                duals = (duals[0][keep], duals[1][keep])
-                quartet.keep(keep)
         elif moved.max() < tol or stalled.min() >= 3:
-            met = True
+            met[:] = True
             break
-    rest = stopped(np.ones(live.size, dtype=bool), met)
-    if out is None:
-        return rest
-    out.put(live, rest)
-    return out
+    return _Stack(best_plans, best_objs, best_errs, ran if active_set else np.full(k, iterations), met)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +382,7 @@ def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
-    u, v = _check_marginals(source_weights, target_weights, *cost.shape)
+    u, v = _check_problem(source_weights, target_weights, *cost.shape, beta)
     solved = _sinkhorn(cost[None], u, v, beta, max_iter, tol)
     return solved.plan(0)
 
@@ -516,7 +458,7 @@ def entropic_gwd(
     """
     a_s = _square(source_adjacency, "source")
     a_t = _square(target_adjacency, "target")
-    u, v = _check_marginals(source_weights, target_weights, a_s.shape[0], a_t.shape[0])
+    u, v = _check_problem(source_weights, target_weights, a_s.shape[0], a_t.shape[0], beta)
     solved = _entropic_gwd(a_s[None], a_t[None], u, v, beta, outer_iter, tol, sink_iter, sink_tol)
     return solved.plan(0)
 

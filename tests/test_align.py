@@ -87,6 +87,24 @@ def test_sinkhorn_rejects_bad_marginals():
         sinkhorn_wd(cost, np.array([0.7, 0.7]), uniform_weights(2), 0.1)
 
 
+@pytest.mark.parametrize("solve, weights, beta, match", [
+    (sinkhorn_wd, [np.nan, 0.5, 0.5], 0.05, "finite and strictly positive"),
+    (sinkhorn_wd, [np.inf, 0.5, 0.5], 0.05, "finite and strictly positive"),
+    (entropic_gwd, [np.nan, 0.5, 0.5], 0.05, "finite and strictly positive"),
+    (sinkhorn_wd, None, np.nan, "beta"),
+    (sinkhorn_wd, None, np.inf, "beta"),
+    (entropic_gwd, None, -1.0, "beta"),
+    (entropic_gwd, None, 0.0, "beta"),
+    (entropic_gwd, None, np.nan, "beta"),
+])
+def test_solvers_reject_bad_beta_and_non_finite_marginals(solve, weights, beta, match):
+    u = uniform_weights(3)
+    first = u if weights is None else np.array(weights)
+    args = (np.ones((3, 3)),) if solve is sinkhorn_wd else (np.eye(3), np.ones((3, 3)))
+    with pytest.raises(ValueError, match=match):
+        solve(*args, first, u, beta)
+
+
 def test_sinkhorn_marginal_violation_monotone():
     # one Sinkhorn step at a time, each warm started from the duals the last one
     # returned, runs the same iterations as one solve; the violation before
@@ -211,8 +229,8 @@ def _assert_same_plan(got, want):
 @pytest.mark.parametrize("n, m", [(25, 25), (23, 23), (21, 27)])
 def test_active_set_stack_equals_single_solves(n, m):
     # factorized GW sizes (n^2 m^2 > 250k), six different problems, stopping rules on:
-    # each problem leaves the stack at its own iteration and must come out exactly
-    # as its single solve
+    # each problem freezes in the stack at its own iteration and must come out exactly
+    # as its single solve, with the duals it froze with (GW warm-starts from them)
     costs, adj_s, adj_t = _varied_problems(np.random.default_rng(n * m), n, m, 6)
     u, v = uniform_weights(n), uniform_weights(m)
     wd = _sinkhorn(costs, u, v, 0.05, 200, 1e-7, active_set=True)
@@ -220,6 +238,9 @@ def test_active_set_stack_equals_single_solves(n, m):
     for k in range(6):
         _assert_same_plan(wd.plan(k), sinkhorn_wd(costs[k], u, v, 0.05))
         _assert_same_plan(gwd.plan(k), entropic_gwd(adj_s[k], adj_t[k], u, v, 0.05))
+        single = _sinkhorn(costs[k : k + 1], u, v, 0.05, 200, 1e-7)
+        assert wd.duals[0][k].tobytes() == single.duals[0][0].tobytes()
+        assert wd.duals[1][k].tobytes() == single.duals[1][0].tobytes()
     assert len(set(wd.iterations)) > 1 and len(set(gwd.iterations)) > 1
     assert gwd.converged.any() and not gwd.converged.all()
     # C-ordered pseudo-costs: a transposed layout reorders the Sinkhorn sums and moves the bits
