@@ -1,17 +1,16 @@
 """How the learned interdependency graphs move when couplings rewire.
 
-Builds the attention adjacency for every test window of a shifted synthetic
-run, compares the average graph inside the anomalous interval against the
-normal one, and exports the per-window adjacency series to CSV (the file
-format downstream plotting reads).
+Scores every test window of a shifted synthetic run, compares the average
+attention adjacency the windows inside the anomalous interval were scored
+with against the normal one, and exports the per-window adjacency series to
+CSV (the file format downstream plotting reads).
 """
 
 import numpy as np
 
-from tsgad import autodiff as ad
-from tsgad.dataio import split_normalize, synth_generate, window_table
+from tsgad.dataio import split_normalize, synth_generate
 from tsgad.graph import adjacency_export
-from tsgad.train import TrainConfig, _forward_batch, model_from_checkpoint, train
+from tsgad.train import TrainConfig, score, train
 
 SEED = 7
 
@@ -22,12 +21,8 @@ dataset = synth_generate(
 train_ds, test_ds = split_normalize(dataset, 0.6)
 config = TrainConfig(window=40, stride=10, batch_size=16, epochs=10, seed=SEED,
                      learning_rate=0.01, encoder_out_scale=8.0)
-model = model_from_checkpoint(train(train_ds, config).checkpoint)
-
-windows, starts, labels = window_table(test_ds, config.window, config.stride)
-with ad.no_grad():
-    adjacency, _, _ = _forward_batch(model, windows, False, None)
-mats = adjacency.data
+report = score(test_ds, train(train_ds, config).checkpoint)
+mats, starts, labels = report.adjacency, report.window_starts, report.labels
 
 normal = mats[labels == 0]
 anomalous = mats[labels == 1]

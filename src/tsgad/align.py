@@ -15,8 +15,9 @@ it keeps its potentials or plan and records its iteration while the rest
 iterate, and the stack stops when every problem has met its rule (or at
 the cap). The arithmetic is slice-independent, so each problem comes out
 bit-identical to its solve as a stack of one.
-``sinkhorn_wd``, ``entropic_gwd`` and ``gwd_cost`` validate their inputs and
-call the core with K = 1. ``batch_alignment`` solves its windows as one
+``sinkhorn_wd`` and ``entropic_gwd`` validate their inputs and call the
+core with K = 1; ``gwd_cost`` evaluates the factorized GW pseudo-cost of
+one fixed plan. ``batch_alignment`` solves its windows as one
 lockstep stack while the stacked problem is small (B N^4 <= 2e6). Otherwise
 it cuts the windows into active-set stacks of the most windows whose GW
 pseudo-cost tables hold ``_DENSE_QUARTET_LIMIT`` entries, and solves the
@@ -90,17 +91,12 @@ def uniform_weights(n):
 
 
 def cost_matrix(source_points, target_points):
-    """Pairwise Euclidean distances between two embedding sets (n x d, m x d).
-
-    Stacks of sets (K x n x d, K x m x d) give a (K, n, m) stack of costs.
-    """
+    """Pairwise Euclidean distances between two embedding sets (n x d, m x d)."""
     xs = np.asarray(source_points, dtype=np.float64)
     xt = np.asarray(target_points, dtype=np.float64)
-    if xs.ndim not in (2, 3) or xt.ndim != xs.ndim or xs.shape[-1] != xt.shape[-1]:
-        raise ValueError(
-            f"embedding dimensions differ: {xs.shape} vs {xt.shape}"
-        )
-    diff = xs[..., :, None, :] - xt[..., None, :, :]
+    if xs.ndim != 2 or xt.ndim != 2 or xs.shape[1] != xt.shape[1]:
+        raise ValueError(f"embedding dimensions differ: {xs.shape} vs {xt.shape}")
+    diff = xs[:, None, :] - xt[None, :, :]
     dist = np.multiply(diff, diff, out=diff).sum(axis=-1)
     return np.sqrt(dist, out=dist)
 
@@ -387,18 +383,17 @@ def sinkhorn_wd(cost, source_weights, target_weights, beta, max_iter=200, tol=1e
     return solved.plan(0)
 
 
-def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
+def gwd_cost(source_adjacency, target_adjacency, plan):
     """Quartet objective and pseudo-cost for a fixed coupling.
 
     With loss ``|A_s[i,i'] - A_t[j,j']|`` the pseudo-cost is
     ``G[i,j] = sum_{i',j'} plan[i',j'] * |A_s[i,i'] - A_t[j,j']|`` and the
-    objective is ``<plan, G>``. The ``factorized`` method builds its tables
-    once per call (each target row sorted, each source entry's position in
-    it) and reads weighted L1 distances off prefix sums, avoiding the
-    quadruple loop (O(n m (n + m) log) instead of O(n^2 m^2)); ``dense``
-    contracts the full difference tensor, which is faster below
-    ~250k entries, and ``auto`` picks by size. Inside the GW solver the same
-    tables are built once per solve and shared by all its outer steps.
+    objective is ``<plan, G>``. The factorized kernel builds its tables
+    (each target row sorted, each source entry's position in it) and reads
+    weighted L1 distances off prefix sums, avoiding the quadruple loop
+    (O(n m (n + m) log) instead of O(n^2 m^2)). The GW solver builds the
+    same tables once per solve and shares them across its outer steps; for
+    small problems it contracts the dense difference tensor instead.
     """
     a_s = _square(source_adjacency, "source")
     a_t = _square(target_adjacency, "target")
@@ -406,11 +401,7 @@ def gwd_cost(source_adjacency, target_adjacency, plan, method="auto"):
     n, m = a_s.shape[0], a_t.shape[0]
     if plan.shape != (n, m):
         raise ValueError(f"plan shape {plan.shape} does not match ({n}, {m})")
-    if method not in ("auto", "dense", "factorized"):
-        raise ValueError(f"unknown method {method!r}")
-    dense = method == "dense" or (method == "auto" and n * n * m * m <= _DENSE_QUARTET_LIMIT)
-    pseudo = (_QuartetCosts(a_s[None], a_t[None], True).forward(plan[None]) if dense
-              else _factorized_pseudo_costs(_factorized_tables(a_s[None], a_t[None]), plan[None]))
+    pseudo = _factorized_pseudo_costs(_factorized_tables(a_s[None], a_t[None]), plan[None])
     return float(np.einsum("kij,kij->k", plan[None], pseudo)[0]), pseudo[0]
 
 

@@ -96,17 +96,21 @@ class _UnusableOutput(OSError):
     """An output path open() would refuse; never a FileNotFoundError, so a missing directory exits 1."""
 
 
-def _check_outputs(*paths):
-    """Refuse, before any work starts, an output path that open() would refuse.
+def _check_outputs(outputs, inputs=()):
+    """Refuse, before any work starts, an output path that open() would refuse
+    or that names the same file as another output or an input.
 
-    Raises the error that opening the path for writing would raise, as an
-    ``_UnusableOutput``: it exits 1 like a failed write, even for a missing
-    directory (a missing input file exits 2), and no earlier output of the
-    command has been written yet.
+    A collision raises ConfigError. Otherwise it raises the error that opening
+    the path for writing would raise, as an ``_UnusableOutput``: it exits 1
+    like a failed write, even for a missing directory (a missing input file
+    exits 2), and no earlier output of the command has been written yet.
     """
-    for path in paths:
-        if path is None:
-            continue
+    named = {os.path.realpath(p): f"input {p}" for p in filter(None, inputs)}
+    for path in filter(None, outputs):
+        key = os.path.realpath(path)
+        if key in named:
+            raise ConfigError(f"output {path} names the same file as {named[key]}")
+        named[key] = f"output {path}"
         parent = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
             code = errno.EISDIR
@@ -254,7 +258,7 @@ def _write_score_outputs(report, offset, out_prefix):
 
 def cmd_synth(args, argv):
     t0 = time.time()
-    _check_outputs(args.out, f"{args.out}.manifest.json")
+    _check_outputs([args.out, f"{args.out}.manifest.json"])
     spec = [_parse_interval(s, "interdependency_shift") for s in args.shift or []]
     spec += [_parse_interval(s, "spike") for s in args.spike or []]
     ds = synth_generate(
@@ -277,7 +281,7 @@ def cmd_train(args, argv):
     t0 = time.time()
     curve_path = args.loss_curve or f"{args.out}.loss.csv"
     manifest_path = f"{args.out}.manifest.json"
-    _check_outputs(args.out, curve_path, manifest_path)
+    _check_outputs([args.out, curve_path, manifest_path], [args.data, args.config])
     config = _resolve_config(args)
     train_ds, _ = (
         split_normalize(read_series(args.data, label_column=args.label_column), config.split_fraction)
@@ -305,7 +309,8 @@ def cmd_train(args, argv):
 def _run_scoring(args, argv, command):
     t0 = time.time()
     manifest_path = f"{args.out_prefix}.manifest.json"
-    _check_outputs(*_score_paths(args.out_prefix), args.export_graphs, manifest_path)
+    _check_outputs([*_score_paths(args.out_prefix), args.export_graphs, manifest_path],
+                   [args.data, args.checkpoint])
     checkpoint = load_checkpoint(args.checkpoint)
     config = TrainConfig.from_dict(checkpoint["config"])
     full = read_series(args.data, label_column=args.label_column)
@@ -337,8 +342,8 @@ def cmd_oracle(args, argv):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     manifest_path = f"{args.out}.manifest.json" if args.out else None
-    _check_outputs(args.out, manifest_path)
-    results = run_all(seeds=args.seeds, inject_fault=args.inject_fault)
+    _check_outputs([args.out, manifest_path])
+    results = run_all(seeds=args.seeds)
     all_passed = True
     for suite in results:
         status = "PASS" if suite["passed"] else "FAIL"
@@ -402,7 +407,6 @@ def build_parser():
     p = sub.add_parser("oracle", help="run solver-vs-enumeration and gradient suites")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--out", help="write suite results as JSON")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 

@@ -38,7 +38,7 @@ def _report(name, checks, failures, worst, t0):
             "max_deviation": worst, "seconds": time.time() - t0}
 
 
-def equivalence_suite(seeds=100, sizes=(3, 4), inject_fault=False):
+def equivalence_suite(seeds=100, sizes=(3, 4)):
     """Frobenius-argmin vs inner-product-argmax over full permutation enumeration."""
     t0 = time.time()
     failures = []
@@ -48,14 +48,12 @@ def equivalence_suite(seeds=100, sizes=(3, 4), inject_fault=False):
         ok = alignment_equivalence_check(
             rng.random((n, n)), rng.random((n, 3)), rng.random((n, n)), rng.random((n, 3))
         )
-        if inject_fault and seed == 0:
-            ok = False
         if not ok:
             failures.append(f"seed {seed} (n={n})")
     return _report("alignment-equivalence", seeds, failures, 0.0, t0)
 
 
-def sinkhorn_suite(seeds=50, beta=0.005, rel_tol=0.02, inject_fault=False):
+def sinkhorn_suite(seeds=50, beta=0.005, rel_tol=0.02):
     """Entropic transport objective against the enumerated LP optimum."""
     t0 = time.time()
     failures = []
@@ -67,14 +65,12 @@ def sinkhorn_suite(seeds=50, beta=0.005, rel_tol=0.02, inject_fault=False):
         lp = exact_wd_uniform(cost)
         rel = abs(res.objective - lp) / lp
         worst = max(worst, rel)
-        if inject_fault and seed == 0:
-            rel = rel_tol * 10
         if rel > rel_tol or res.marginal_error > 1e-6:
             failures.append(f"seed {seed}: rel {rel:.4f}, marginal {res.marginal_error:.2e}")
     return _report("sinkhorn-vs-enumeration", seeds, failures, worst, t0)
 
 
-def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3, inject_fault=False):
+def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3):
     """Edge alignment finds graph isomorphisms and separates unlike graphs."""
     t0 = time.time()
     failures = []
@@ -88,12 +84,9 @@ def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3, inject_fault=False):
         u = uniform_weights(n)
         res = entropic_gwd(a, b, u, u, beta, outer_iter=100, tol=1e-10,
                            sink_iter=3000, sink_tol=1e-9)
-        value = res.objective
-        if inject_fault and seed == 0:
-            value = obj_tol * 10
-        worst = max(worst, value)
-        if value > obj_tol:
-            failures.append(f"seed {seed}: isomorphic objective {value:.2e}")
+        worst = max(worst, res.objective)
+        if res.objective > obj_tol:
+            failures.append(f"seed {seed}: isomorphic objective {res.objective:.2e}")
     # factorized pseudo-cost against the quadruple loop
     for seed in range(5):
         rng = np.random.default_rng(3000 + seed)
@@ -101,7 +94,7 @@ def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3, inject_fault=False):
         b = rng.random((4, 4))
         plan = rng.random((3, 4))
         plan /= plan.sum()
-        of, pf = gwd_cost(a, b, plan, method="factorized")
+        of, pf = gwd_cost(a, b, plan)
         on, pn = gwd_cost_naive(a, b, plan)
         dev = max(abs(of - on), float(np.abs(pf - pn).max()))
         worst = max(worst, dev)
@@ -123,7 +116,7 @@ def gwd_suite(seeds=20, beta=0.01, obj_tol=1e-3, inject_fault=False):
     return _report("gwd-isomorphism", seeds + 6, failures, worst, t0)
 
 
-def gradient_suite(inject_fault=False):
+def gradient_suite():
     """Finite-difference checks for every differentiable surface.
 
     The alignment check differentiates ``batch_alignment``'s loss node, the one
@@ -135,8 +128,6 @@ def gradient_suite(inject_fault=False):
 
     def record(name, err, tol):
         nonlocal worst
-        if inject_fault and not failures:
-            err = tol * 10
         worst = max(worst, err)
         if err > tol:
             failures.append(f"{name}: rel err {err:.2e} > {tol}")
@@ -203,10 +194,10 @@ def gradient_suite(inject_fault=False):
     return _report("gradient-integrity", 6, failures, worst, t0)
 
 
-def run_all(seeds=100, inject_fault=False):
+def run_all(seeds=100):
     return [
-        equivalence_suite(seeds=seeds, inject_fault=inject_fault),
-        sinkhorn_suite(seeds=max(10, seeds // 2), inject_fault=inject_fault),
-        gwd_suite(seeds=max(5, seeds // 5), inject_fault=inject_fault),
-        gradient_suite(inject_fault=inject_fault),
+        equivalence_suite(seeds=seeds),
+        sinkhorn_suite(seeds=max(10, seeds // 2)),
+        gwd_suite(seeds=max(5, seeds // 5)),
+        gradient_suite(),
     ]

@@ -165,32 +165,21 @@ class Adam:
             p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _embed(model, windows, training, dropout_rng):
-    """Node features (B, N, T), adjacency and node embeddings of a window batch."""
-    cfg = model.config
+def _forward(model, windows, dropout_rng=None):
+    """Adjacency, node embeddings and flow rows (inputs, conditions) of a window batch.
+
+    Attention dropout runs exactly when ``dropout_rng`` is given. The flow
+    gets one row per (window, channel). Both row sets are Tensors that a
+    tape holds anyway; without a tape the caller drops them once it has the
+    likelihood, as the conditions are a copy of the embeddings.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     feats = np.swapaxes(windows, 1, 2).copy()  # (B, N, T)
-    adjacency = attention_adjacency(
-        feats,
-        model.attention,
-        dropout=cfg.dropout if training else 0.0,
-        rng=dropout_rng,
-    )
+    dropout = model.config.dropout if dropout_rng is not None else 0.0
+    adjacency = attention_adjacency(feats, model.attention, dropout=dropout, rng=dropout_rng)
     embeddings = encode_batch(windows, adjacency, model.encoder_params)
-    return feats, adjacency, embeddings
-
-
-def _flow_rows(model, feats, embeddings):
-    """Flow inputs and conditions, one row per (window, channel)."""
     rows = feats.shape[0] * feats.shape[1]
-    return feats.reshape(rows, model.config.window), ad.reshape(embeddings, (rows, -1))
-
-
-def _forward_batch(model, windows, training, dropout_rng):
-    """Adjacency, embeddings, and mean log-likelihood for one window batch."""
-    feats, adjacency, embeddings = _embed(model, windows, training, dropout_rng)
-    mean_ll = batch_log_likelihood(*_flow_rows(model, feats, embeddings), model.flow)
-    return adjacency, embeddings, mean_ll
+    return adjacency, embeddings, (ad.Tensor(feats.reshape(rows, -1)), ad.reshape(embeddings, (rows, -1)))
 
 
 @dataclass
@@ -231,7 +220,8 @@ def train(train_ds, config):
             if len(take) < cfg.batch_size:
                 break  # alignment reference needs full batches during training
             batch = windows[take]
-            adjacency, embeddings, mean_ll = _forward_batch(model, batch, True, dropout_rng)
+            adjacency, embeddings, rows = _forward(model, batch, dropout_rng)
+            mean_ll = batch_log_likelihood(*rows, model.flow)
             if terms:
                 try:
                     align = batch_alignment(embeddings, adjacency, lam=cfg.lam, beta=cfg.beta, terms=terms)
@@ -321,15 +311,8 @@ class ScoreReport:
     counts: dict = field(default_factory=dict)
 
 
-def _eval_forward(model, windows):
-    """Adjacency, embeddings and per-window mean NLL of a window batch, without a tape."""
-    feats, adjacency, embeddings = _embed(model, windows, False, None)
-    ll_rows = log_prob(*_flow_rows(model, feats, embeddings), model.flow).data
-    return adjacency.data, embeddings.data, -ll_rows.reshape(feats.shape[:2]).mean(axis=1)
-
-
 def _score_windows(model, windows):
-    """Raw per-window alignment distance, mean NLL and score, plus the adjacency.
+    """Per-window alignment distance ``d_ga``, mean NLL ``nll``, ``score`` and ``adjacency``.
 
     Windows enter alignment batches by seeded permutations, matching how
     instances are sampled during training: a batch's reference graph then
@@ -337,9 +320,10 @@ def _score_windows(model, windows):
     a long anomalous stretch cannot dominate its own reference. The
     alignment terms are averaged over ``SCORE_PASSES`` independent batch
     compositions to damp the sampling noise of the reference. Each
-    alignment batch runs its own no-grad forward; in eval mode a window's
-    adjacency and NLL do not depend on its batchmates, so every pass writes
-    the same values. A non-finite score raises FloatingPointError.
+    alignment batch runs the model's forward without dropout or tape; a
+    window's adjacency and NLL then do not depend on its batchmates, so
+    every pass writes the same values, and the adjacency is the graph the
+    window was scored with. A non-finite score raises FloatingPointError.
     """
     cfg = model.config
     batch_size = cfg.batch_size
@@ -361,8 +345,10 @@ def _score_windows(model, windows):
                 borrow = 1 if n_total - lo == 1 and lo > 0 else 0
                 take = order[lo - borrow : lo + batch_size]
                 out = take[borrow:]
-                adj, emb, batch_nll = _eval_forward(model, windows[take])
-                adjacency[out], nll[out] = adj[borrow:], batch_nll[borrow:]
+                adj, emb, rows = _forward(model, windows[take])
+                ll = log_prob(*rows, model.flow).data.reshape(len(take), -1)
+                del rows  # a copy of the embeddings, not needed by the alignment
+                adjacency[out], nll[out] = adj.data[borrow:], -ll.mean(axis=1)[borrow:]
                 if terms:
                     align = batch_alignment(emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms)
                     wd[out] += align.wd[borrow:] / SCORE_PASSES
@@ -372,7 +358,7 @@ def _score_windows(model, windows):
     bad = int((~np.isfinite(scores)).sum())
     if bad:
         raise FloatingPointError(f"{bad} of {n_total} windows scored non-finite")
-    return {"d_ga": d_ga, "wd": wd, "gwd": gwd, "nll": nll, "score": scores, "adjacency": adjacency}
+    return {"d_ga": d_ga, "nll": nll, "score": scores, "adjacency": adjacency}
 
 
 def score(ds, checkpoint):

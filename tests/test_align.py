@@ -160,10 +160,12 @@ def test_gwd_factorized_equals_naive():
         plan = rng.random((a_s.shape[0], a_t.shape[0]))
         plan /= plan.sum()
         obj_n, pseudo_n = gwd_cost_naive(a_s, a_t, plan)
-        for method in ("auto", "factorized"):
-            obj_f, pseudo_f = gwd_cost(a_s, a_t, plan, method=method)
-            assert abs(obj_f - obj_n) < 1e-10
-            np.testing.assert_allclose(pseudo_f, pseudo_n, atol=1e-10)
+        obj_f, pseudo_f = gwd_cost(a_s, a_t, plan)
+        assert abs(obj_f - obj_n) < 1e-10
+        np.testing.assert_allclose(pseudo_f, pseudo_n, atol=1e-10)
+        # the dense map the GW solver uses for small problems
+        dense = _QuartetCosts(a_s[None], a_t[None], dense=True).forward(plan[None])[0]
+        np.testing.assert_allclose(dense, pseudo_n, atol=1e-10)
 
 
 def test_gwd_factorized_chunks_match_one_chunk(monkeypatch):
@@ -172,11 +174,11 @@ def test_gwd_factorized_chunks_match_one_chunk(monkeypatch):
     a_s, a_t = rng.random((n, n)), rng.random((m, m))
     plan = rng.random((n, m))
     plan /= plan.sum()
-    whole = gwd_cost(a_s, a_t, plan, method="factorized")
+    whole = gwd_cost(a_s, a_t, plan)
     # 3 target rows per chunk: four chunks, the last one ragged
     monkeypatch.setattr(align, "_DENSE_QUARTET_LIMIT", 3 * n * (m + 1))
     assert [c.stop - c.start for c, _, _ in align._factorized_tables(a_s[None], a_t[None])[2]] == [3, 3, 3, 2]
-    chunked = gwd_cost(a_s, a_t, plan, method="factorized")
+    chunked = gwd_cost(a_s, a_t, plan)
     assert chunked[0] == whole[0]
     np.testing.assert_array_equal(chunked[1], whole[1])
 

@@ -2,12 +2,13 @@ import argparse
 import base64
 import json
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsgad import cli
+from tsgad import cli, oracles
 from tsgad.cli import _add_train_config_flags, build_parser, main
 from tsgad.dataio import read_series
 from tsgad.graph import read_adjacency_export
@@ -447,11 +448,31 @@ def test_usage_error_exit_1():
     assert main(["train"]) == 1  # missing required flags
 
 
-def test_oracle_pass_and_fault_injection(tmp_path):
+# each suite, the reference it checks against, and a wrong stand-in for that reference
+# (a negative optimum would pass the Sinkhorn suite, whose gap is relative to the optimum)
+@pytest.mark.parametrize("suite, reference, wrong", [
+    pytest.param(partial(oracles.equivalence_suite, seeds=2), "alignment_equivalence_check", lambda *_: False,
+                 id="alignment-equivalence"),
+    pytest.param(partial(oracles.sinkhorn_suite, seeds=2), "exact_wd_uniform", lambda cost: 2.0,
+                 id="sinkhorn-vs-enumeration"),
+    pytest.param(partial(oracles.gwd_suite, seeds=2), "gwd_cost_naive",
+                 lambda a, b, plan: (1.0, np.ones((len(a), len(b)))), id="gwd-isomorphism"),
+    pytest.param(oracles.gradient_suite, "relative_error", lambda *_: 1.0, id="gradient-integrity"),
+])
+def test_suite_fails_against_a_wrong_reference(monkeypatch, suite, reference, wrong):
+    monkeypatch.setattr(oracles, reference, wrong)
+    result = suite()
+    assert result["passed"] is False and result["failures"]
+
+
+def test_oracle_pass_and_fault_injection(tmp_path, monkeypatch):
     assert main(["oracle", "--seeds", "4", "--out", str(tmp_path / "oracle.json")]) == 0
     results = json.loads((tmp_path / "oracle.json").read_text())
     assert all(suite["passed"] for suite in results)
-    assert main(["oracle", "--seeds", "4", "--inject-fault"]) == 4
+    monkeypatch.setattr(oracles, "exact_wd_uniform", lambda cost: 2.0)
+    assert main(["oracle", "--seeds", "4", "--out", str(tmp_path / "faulty.json")]) == 4
+    results = json.loads((tmp_path / "faulty.json").read_text())
+    assert [suite["name"] for suite in results if not suite["passed"]] == ["sinkhorn-vs-enumeration"]
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])
@@ -597,3 +618,43 @@ def test_unusable_output_path_stops_before_the_work(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"tsgad: cannot use {bad_path}: "), err
     assert sorted(out.rglob("*")) == before  # nothing written
+
+
+# each case: (data, checkpoint, output dir) -> (argv, the colliding output path)
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda d, c, o: (_train_argv(d, o / "m.json", "--loss-curve", str(o / "m.json")), o / "m.json"),
+                 id="train-out-is-loss-curve"),
+    pytest.param(lambda d, c, o: (_train_argv(d, o / "m.json", "--loss-curve", str(o / "m.json.manifest.json")),
+                                  o / "m.json.manifest.json"), id="train-loss-curve-is-manifest"),
+    pytest.param(lambda d, c, o: (_train_argv(_write(o / "s.csv", d.read_text()), o / "s.csv"), o / "s.csv"),
+                 id="train-out-is-data"),
+    pytest.param(lambda d, c, o: (_train_argv(d, o / "m.json", "--config", str(_write(o / "m.json", "window = 20\n"))),
+                                  o / "m.json"), id="train-out-is-config"),
+    pytest.param(lambda d, c, o: (_train_argv(_write(o / "s.csv", d.read_text()), _link(o / "link.csv", o / "s.csv")),
+                                  o / "link.csv"), id="train-out-links-to-data"),
+    pytest.param(lambda d, c, o: (_score_argv("eval", d, c, o / "r", "--export-graphs", str(o / "r.scores.csv")),
+                                  o / "r.scores.csv"), id="eval-export-graphs-is-scores"),
+    pytest.param(lambda d, c, o: (_score_argv("score", d, _write(o / "m.json", c.read_text()), o / "r",
+                                              "--export-graphs", str(o / "m.json")), o / "m.json"),
+                 id="score-export-graphs-is-checkpoint"),
+])
+def test_colliding_paths_stop_before_the_work(tmp_path, capsys, monkeypatch, trained, case):
+    for name in ("train", "score", "run_all"):
+        monkeypatch.setattr(cli, name, _refuse)
+    out = _mkdir(tmp_path / "out")
+    argv, path = case(*trained, out)
+    before = {p: p.read_bytes() for p in out.iterdir()}
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"tsgad: configuration error: output {path} "), err
+    assert {p: p.read_bytes() for p in out.iterdir()} == before  # nothing written or overwritten
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _link(path, target):
+    path.symlink_to(target)
+    return path

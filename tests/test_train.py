@@ -9,11 +9,12 @@ from tsgad.align import batch_alignment
 from tsgad.autodiff import Tensor
 from tsgad.dataio import SeriesDataset, split_normalize, synth_generate, window_table
 from tsgad.errors import CheckpointError, ConfigError, DivergenceError, MetricUndefinedError
+from tsgad.flow import batch_log_likelihood
 from tsgad.train import (
     ABLATIONS,
     Adam,
     TrainConfig,
-    _forward_batch,
+    _forward,
     auc_roc,
     build_model,
     iqr_threshold,
@@ -147,7 +148,8 @@ def test_no_ga_ablation_loss_is_pure_likelihood():
     windows, _, _ = window_table(train_ds, cfg.window, cfg.stride)
     order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(len(windows))
     batch = windows[order[: cfg.batch_size]]
-    _, _, mean_ll = _forward_batch(model, batch, False, None)
+    _, _, rows = _forward(model, batch)
+    mean_ll = batch_log_likelihood(*rows, model.flow)
     assert result.loss_curve[0][2] == pytest.approx(-mean_ll.item(), abs=1e-10)
 
 
@@ -162,7 +164,8 @@ def test_loss_decomposition_across_ablations():
     windows, _, _ = window_table(train_ds, cfg.window, cfg.stride)
     order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(len(windows))
     batch = windows[order[: cfg.batch_size]]
-    adjacency, embeddings, mean_ll = _forward_batch(model, batch, False, None)
+    adjacency, embeddings, rows = _forward(model, batch)
+    mean_ll = batch_log_likelihood(*rows, model.flow)
     align = batch_alignment(embeddings, adjacency, lam=cfg.lam, beta=cfg.beta)
     lf = mean_ll.item()
     wd_term = cfg.lam * align.wd.mean()
@@ -233,7 +236,7 @@ def test_score_forward_is_whole_and_batch_independent(monkeypatch):
     model = model_from_checkpoint(result.checkpoint)
     windows, _, _ = window_table(test_ds, model.config.window, model.config.stride)
     with ad.no_grad():
-        whole_batch, _, _ = _forward_batch(model, windows, False, None)
+        whole_batch, _, _ = _forward(model, windows)
 
     # rows handed to each stage of the model while scoring
     seen = {}
