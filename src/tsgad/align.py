@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _tracking, as_tensor
+from .autodiff import Tensor, as_tensor, node
 
 
 @dataclass
@@ -542,20 +542,7 @@ def alignment_equivalence_check(
 
 
 # ---------------------------------------------------------------------------
-# differentiable cost terms (plans held constant at the converged point)
-
-
-def _scalar_node(parents, value, grads):
-    """``value`` as a tape node over ``parents``; ``grads()`` gives d(value)/d(parent), None for none."""
-    if not _tracking(*parents):
-        return Tensor(value)
-
-    def backward(grad):
-        for parent, g in zip(parents, grads()):
-            if parent.requires_grad and g is not None:
-                parent._accumulate(float(grad) * g)
-
-    return Tensor._make(np.asarray(value), parents, backward)
+# cost-term gradients at constant converged plans: the rules of batch_alignment's autodiff.node
 
 
 def _wd_pulls(xs, xt, plans, dist):
@@ -727,18 +714,17 @@ def batch_alignment(
         """Window k's gradient: its source pull plus the mean of the other windows' reference pulls."""
         return lam / batch * (source + _leave_one_out(reference.sum(axis=0), reference, batch))
 
-    def grads():
-        wd_grad = gwd_grad = None
-        if "wd" in terms and emb.requires_grad:
-            refs = _leave_one_out(emb_sum_np, emb_np, batch)
-            wd_grad = chain(*_wd_pulls(emb_np, refs, np.stack([p.plan for p in wd_plans]), wd_costs))
-        if "gwd" in terms and adj.requires_grad:
-            refs = _leave_one_out(adj_sum_np, adj_np, batch)
-            pairs = [_sign_quartet_grads(a, r, p.plan) for a, r, p in zip(adj_np, refs, gwd_plans)]
-            gwd_grad = chain(*(np.stack(g) for g in zip(*pairs)))
-        return wd_grad, gwd_grad
+    def wd_grad(grad):
+        refs = _leave_one_out(emb_sum_np, emb_np, batch)
+        return float(grad) * chain(*_wd_pulls(emb_np, refs, np.stack([p.plan for p in wd_plans]), wd_costs))
 
+    def gwd_grad(grad):
+        refs = _leave_one_out(adj_sum_np, adj_np, batch)
+        pairs = [_sign_quartet_grads(a, r, p.plan) for a, r, p in zip(adj_np, refs, gwd_plans)]
+        return float(grad) * chain(*(np.stack(g) for g in zip(*pairs)))
+
+    rules = [rule for term, rule in (("wd", (emb, wd_grad)), ("gwd", (adj, gwd_grad))) if term in terms]
     return BatchAlignment(
         wd=wd_vals, gwd=gwd_vals, ga=ga_vals,
-        loss_term=_scalar_node((emb, adj), ga_vals.mean(), grads), wd_plans=wd_plans, gwd_plans=gwd_plans,
+        loss_term=node(np.asarray(ga_vals.mean()), *rules), wd_plans=wd_plans, gwd_plans=gwd_plans,
     )

@@ -7,6 +7,12 @@ visited after all of its consumers and each ``requires_grad`` leaf ends up
 with d(loss)/d(leaf) accumulated additively. Set ``t.grad = None`` (as
 ``Adam.zero_grad`` does) between optimizer steps.
 
+``node(data, *rules)`` is the one node constructor: a rule pairs a parent with
+the map from the node's gradient to the parent's. Every op here and
+``align.batch_alignment``'s loss term use it; only ``take`` (a slice-add into
+the parent's gradient) and ``encoder.encode_batch`` (one streamed backward
+for all parents) build their nodes by hand with ``Tensor._make``.
+
 All arrays are float64 and row-major. Shape-changing ops (reshape,
 transpose, slicing, flip) return copies, never views, so mutating an
 output can never alias an input.
@@ -132,103 +138,64 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def node(data, *rules):
+    """``data`` as a tape node over the parents of ``rules``, pairs ``(parent, fn)`` with
+    ``fn(grad)`` = d(loss)/d(parent). Records nothing with the tape off or no parent
+    requiring gradients; the backward adds into each parent that does, in rule order."""
+    if not (_grad_enabled and any(parent.requires_grad for parent, _ in rules)):
+        return Tensor._make(data, (), None)
+
+    def backward(grad):
+        for parent, fn in rules:
+            if parent.requires_grad:
+                parent._accumulate(fn(grad))
+
+    return Tensor._make(data, tuple(parent for parent, _ in rules), backward)
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-    if not _tracking(a, b):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad, b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
+    return node(a.data + b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-    if not _tracking(a, b):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-grad, b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
+    return node(a.data - b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-    if not _tracking(a, b):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
+    return node(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def neg(a):
     a = as_tensor(a)
-    out_data = -a.data
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(-grad)
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(-a.data, (a, lambda g: -g))
 
 
 def power(a, exponent):
     """Elementwise power with a constant (non-tensor) exponent."""
     a = as_tensor(a)
     exponent = float(exponent)
-    out_data = a.data**exponent
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(a.data**exponent, (a, lambda g: g * exponent * a.data ** (exponent - 1.0)))
 
 
 def exp(a):
     a = as_tensor(a)
     out_data = np.exp(a.data)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad * out_data)
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(out_data, (a, lambda g: g * out_data))
 
 
 def relu(a):
     a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad * (a.data > 0.0))
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def sigmoid_array(x, out=None, scratch=None):
@@ -254,25 +221,13 @@ def sigmoid_array(x, out=None, scratch=None):
 def sigmoid(a):
     a = as_tensor(a)
     out_data = sigmoid_array(a.data)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(out_data, (a, lambda g: g * out_data * (1.0 - out_data)))
 
 
 def tanh(a):
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad * (1.0 - out_data * out_data))
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(out_data, (a, lambda g: g * (1.0 - out_data * out_data)))
 
 
 def softmax_rows(a):
@@ -281,14 +236,12 @@ def softmax_rows(a):
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
 
-    def backward(grad):
+    def grad_in(grad):
         inner = (grad * out_data).sum(axis=-1, keepdims=True)
-        a._accumulate((grad - inner) * out_data)
+        return (grad - inner) * out_data
 
-    return Tensor._make(out_data, (a,), backward)
+    return node(out_data, (a, grad_in))
 
 
 def dropout(a, p, rng):
@@ -310,26 +263,12 @@ def matmul(a, b):
     """Matrix product; both operands 2-D or stacked (batched) 3-D+."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError(
-            f"matmul requires >=2-D operands, got shapes {a.data.shape} and {b.data.shape}"
-        )
+        raise ValueError(f"matmul requires >=2-D operands, got shapes {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(
-            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
-        )
-    out_data = np.matmul(a.data, b.data)
-    if not _tracking(a, b):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        if a.requires_grad:
-            da = np.matmul(grad, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(da, a.data.shape))
-        if b.requires_grad:
-            db = np.matmul(np.swapaxes(a.data, -1, -2), grad)
-            b._accumulate(_unbroadcast(db, b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
+        raise ValueError(f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
+    return node(np.matmul(a.data, b.data),
+                (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)),
+                (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)))
 
 
 def transpose(a):
@@ -337,26 +276,12 @@ def transpose(a):
     a = as_tensor(a)
     if a.data.ndim < 2:
         raise ValueError("transpose requires >=2-D input")
-    out_data = np.swapaxes(a.data, -1, -2).copy()
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(np.swapaxes(grad, -1, -2))
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(np.swapaxes(a.data, -1, -2).copy(), (a, lambda g: np.swapaxes(g, -1, -2)))
 
 
 def reshape(a, shape):
     a = as_tensor(a)
-    out_data = a.data.reshape(shape).copy()
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad.reshape(a.data.shape))
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(a.data.reshape(shape).copy(), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def take(a, key):
@@ -387,50 +312,31 @@ def take(a, key):
 def flip_last(a):
     """Reverse the last axis (a permutation, |det| = 1)."""
     a = as_tensor(a)
-    out_data = a.data[..., ::-1].copy()
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
-
-    def backward(grad):
-        a._accumulate(grad[..., ::-1])
-
-    return Tensor._make(out_data, (a,), backward)
+    return node(a.data[..., ::-1].copy(), (a, lambda g: g[..., ::-1]))
 
 
 def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not (_grad_enabled and any(t.requires_grad for t in tensors)):
-        return Tensor._make(out_data, (), None)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        moved = np.moveaxis(grad, axis, 0)
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(np.moveaxis(moved[lo:hi], 0, axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    return node(np.concatenate([t.data for t in tensors], axis=axis),
+                *((t, lambda g, lo=lo, hi=hi: np.moveaxis(np.moveaxis(g, axis, 0)[lo:hi], 0, axis))
+                  for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])))
 
 
 def sum_(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    out_data = np.asarray(out_data, dtype=np.float64)
-    if not _tracking(a):
-        return Tensor._make(out_data, (), None)
+    out_data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims), dtype=np.float64)
 
-    def backward(grad):
+    def grad_in(grad):
         g = np.asarray(grad)
         if axis is not None and not keepdims:
             axes = (axis,) if np.isscalar(axis) else tuple(axis)
             axes = tuple(ax % a.data.ndim for ax in axes)
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    return Tensor._make(out_data, (a,), backward)
+    return node(out_data, (a, grad_in))
 
 
 def mean_(a, axis=None, keepdims=False):
@@ -453,15 +359,15 @@ def _topo_order(root):
     visited = set()
     stack = [(root, False)]
     while stack:
-        node, processed = stack.pop()
+        current, processed = stack.pop()
         if processed:
-            order.append(node)
+            order.append(current)
             continue
-        if id(node) in visited:
+        if id(current) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
+        visited.add(id(current))
+        stack.append((current, True))
+        for parent in current._parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
@@ -475,8 +381,8 @@ def backward(loss):
         raise ValueError("backward: loss is not connected to any requires_grad tensor")
     order = _topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            if node is not loss:
-                node.grad = None  # free intermediate buffers
+    for current in reversed(order):
+        if current._backward is not None and current.grad is not None:
+            current._backward(current.grad)
+            if current is not loss:
+                current.grad = None  # free intermediate buffers

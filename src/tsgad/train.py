@@ -182,6 +182,29 @@ def _forward(model, windows, dropout_rng=None):
     return adjacency, embeddings, (ad.Tensor(feats.reshape(rows, -1)), ad.reshape(embeddings, (rows, -1)))
 
 
+def _train_step(model, optimizer, batch, dropout_rng, where):
+    """One optimizer step on a window batch; returns the loss value, and the step's tape dies with it."""
+    cfg = model.config
+    terms = ABLATIONS[cfg.ablation]
+    adjacency, embeddings, rows = _forward(model, batch, dropout_rng)
+    mean_ll = batch_log_likelihood(*rows, model.flow)
+    if terms:
+        try:
+            align = batch_alignment(embeddings, adjacency, lam=cfg.lam, beta=cfg.beta, terms=terms)
+        except FloatingPointError as exc:
+            raise DivergenceError(f"{exc} at {where}") from None
+        loss = align.loss_term - mean_ll
+    else:
+        loss = -mean_ll
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DivergenceError(f"non-finite loss at {where}")
+    optimizer.zero_grad()
+    ad.backward(loss)
+    optimizer.step()
+    return value
+
+
 @dataclass
 class TrainResult:
     checkpoint: dict
@@ -208,7 +231,6 @@ def train(train_ds, config):
     optimizer = Adam(params, cfg.learning_rate)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
-    terms = ABLATIONS[cfg.ablation]
 
     loss_curve = []
     epoch_means = []
@@ -219,23 +241,7 @@ def train(train_ds, config):
             take = order[lo : lo + cfg.batch_size]
             if len(take) < cfg.batch_size:
                 break  # alignment reference needs full batches during training
-            batch = windows[take]
-            adjacency, embeddings, rows = _forward(model, batch, dropout_rng)
-            mean_ll = batch_log_likelihood(*rows, model.flow)
-            if terms:
-                try:
-                    align = batch_alignment(embeddings, adjacency, lam=cfg.lam, beta=cfg.beta, terms=terms)
-                except FloatingPointError as exc:
-                    raise DivergenceError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
-                loss = align.loss_term - mean_ll
-            else:
-                loss = -mean_ll
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
-            optimizer.zero_grad()
-            ad.backward(loss)
-            optimizer.step()
+            value = _train_step(model, optimizer, windows[take], dropout_rng, f"epoch {epoch}, batch {batch_index}")
             loss_curve.append((epoch, batch_index, value))
             epoch_losses.append(value)
         epoch_means.append(float(np.mean(epoch_losses)))
@@ -504,6 +510,11 @@ def load_checkpoint(path):
     for section in ("normalization", "parameters", "quartiles"):
         if not isinstance(data[section], dict):
             raise CheckpointError(f"{path}: checkpoint {section} is not a JSON object")
+    for key in ("mean", "std"):
+        stat = _decode_array(data["normalization"].get(key), f"normalization.{key}")
+        if stat.shape != (len(names),) or not np.all(np.isfinite(stat)) or (key == "std" and np.any(stat <= 0.0)):
+            raise CheckpointError(f"{path}: checkpoint field normalization.{key} must hold {len(names)} finite "
+                                  f"numbers, one per channel{', each > 0' if key == 'std' else ''}")
     for key in ("q1", "q3", "threshold"):
         value = data["quartiles"].get(key)
         if not (_is_number(value) and math.isfinite(value)):

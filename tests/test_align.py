@@ -581,6 +581,19 @@ def test_batch_alignment_loss_term_is_one_tape_node():
     assert sizes == [3, 3]  # the loss node and its two leaves
 
 
+def test_batch_alignment_loss_term_has_one_rule_per_enabled_term():
+    rng = np.random.default_rng(10)
+    emb, adj = _toy_batch(rng)
+    assert batch_alignment(emb, adj, terms=("wd",)).loss_term._parents == (emb,)
+    assert batch_alignment(emb, adj, terms=("gwd",)).loss_term._parents == (adj,)
+    assert batch_alignment(emb, adj).loss_term._parents == (emb, adj)
+    # the one enabled term's input is a constant: nothing to differentiate, nothing recorded
+    constant = batch_alignment(Tensor(emb.data), adj, terms=("wd",)).loss_term
+    assert not constant.requires_grad and constant._parents == ()
+    ad.backward(batch_alignment(emb, adj, terms=("gwd",)).loss_term)
+    assert emb.grad is None and adj.grad is not None
+
+
 def test_batch_alignment_term_selection():
     rng = np.random.default_rng(9)
     emb, adj = _toy_batch(rng)

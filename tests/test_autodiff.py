@@ -136,6 +136,55 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad
 
 
+# every op built by ad.node, with its operand shapes
+NODE_OPS = {
+    "add": (ad.add, [(2, 3), (3,)]),
+    "sub": (ad.sub, [(2, 3), (2, 3)]),
+    "mul": (ad.mul, [(2, 3), (1, 3)]),
+    "neg": (ad.neg, [(2, 3)]),
+    "power": (lambda a: ad.power(a, 3.0), [(2, 3)]),
+    "exp": (ad.exp, [(2, 3)]),
+    "relu": (ad.relu, [(2, 3)]),
+    "sigmoid": (ad.sigmoid, [(2, 3)]),
+    "tanh": (ad.tanh, [(2, 3)]),
+    "softmax_rows": (ad.softmax_rows, [(2, 3)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "transpose": (ad.transpose, [(2, 3)]),
+    "reshape": (lambda a: ad.reshape(a, (3, 2)), [(2, 3)]),
+    "flip_last": (ad.flip_last, [(2, 3)]),
+    "concat": (lambda a, b, c: ad.concat([a, b, c], axis=1), [(2, 3), (2, 1), (2, 2)]),
+    "sum_": (lambda a: ad.sum_(a, axis=0), [(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_OPS))
+def test_node_records_only_what_needs_gradients(name):
+    op, shapes = NODE_OPS[name]
+    rng = np.random.default_rng(5)
+    values = [rng.normal(size=shape) for shape in shapes]
+
+    # constant inputs: a constant result, no parents and no backward
+    out = op(*(Tensor(v) for v in values))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+
+    # the tape off: nothing is recorded, even over tracked inputs
+    with ad.no_grad():
+        out = op(*(Tensor(v, requires_grad=True) for v in values))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+
+    # one tracked operand among constants: only it receives a gradient
+    for tracked in range(len(values)):
+        inputs = [Tensor(v, requires_grad=i == tracked) for i, v in enumerate(values)]
+        out = op(*inputs)
+        assert out.requires_grad and len(out._parents) == len(inputs)
+        ad.backward(ad.sum_(out * Tensor(rng.normal(size=out.shape))))
+        for i, t in enumerate(inputs):
+            if i == tracked:
+                assert t.grad is not None and t.grad.shape == t.shape
+            else:
+                assert t.grad is None
+
+
 def test_broadcast_add_grad_shapes():
     a = Tensor(np.ones((3, 4)), requires_grad=True)
     b = Tensor(np.ones((1, 4)), requires_grad=True)

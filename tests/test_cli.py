@@ -516,6 +516,22 @@ def _eval_exit_2_without_traceback(tmp_path, capsys, data, checkpoint, mention):
     pytest.param("normalization.mean",
                  lambda c: c["normalization"].update(mean=_blob([0.0, 1.0, 2.0], [4])),
                  id="normalization-shape-mismatch"),
+    # statistics that would make every normalized value non-finite are the checkpoint's fault, not the data's
+    pytest.param("normalization.mean must hold 4 finite numbers",
+                 lambda c: c["normalization"].update(mean=_blob([0.0, np.nan, 0.0, 0.0], [4])),
+                 id="normalization-mean-nan"),
+    pytest.param("normalization.std must hold 4 finite numbers, one per channel, each > 0",
+                 lambda c: c["normalization"].update(std=_blob([1.0, 1.0, 0.0, 1.0], [4])),
+                 id="normalization-std-zero"),
+    pytest.param("normalization.std must hold 4 finite numbers",
+                 lambda c: c["normalization"].update(std=_blob([1.0, -2.0, 1.0, 1.0], [4])),
+                 id="normalization-std-negative"),
+    pytest.param("normalization.std must hold 4 finite numbers",
+                 lambda c: c["normalization"].update(std=_blob([1.0, 1.0, 1.0, np.inf], [4])),
+                 id="normalization-std-inf"),
+    pytest.param("normalization.mean must hold 4 finite numbers",
+                 lambda c: c["normalization"].update(mean=_blob([0.0, 0.0], [2])),
+                 id="normalization-mean-too-short"),
     pytest.param("parameters.encoder.bias",
                  lambda c: c["parameters"]["encoder.bias"].update(shape=[2, 3]),
                  id="parameter-shape-mismatch"),

@@ -1,5 +1,6 @@
 import importlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -254,6 +255,29 @@ def test_score_forward_is_whole_and_batch_independent(monkeypatch):
     assert seen["log_prob"] == seen["attention_adjacency"] * test_ds.n_channels
     # the scored graphs are the ones a single batch of every window gives
     np.testing.assert_array_equal(report.adjacency, whole_batch.data)
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_ga"])
+def test_training_tapes_are_released_before_threshold_scoring(monkeypatch, ablation):
+    """No training step's tape, the last one included, is still held when the training windows are scored."""
+    train_ds, _ = _tiny_training_pair()
+    train_module = importlib.import_module("tsgad.train")
+    refs, checked = [], []
+
+    def forward(model, windows, dropout_rng=None, _fn=train_module._forward):
+        adjacency, embeddings, rows = _fn(model, windows, dropout_rng)
+        if dropout_rng is not None:
+            refs.append(weakref.ref(embeddings.data))
+        return adjacency, embeddings, rows
+
+    def score_windows(model, windows, _fn=train_module._score_windows):
+        checked.append([ref() is None for ref in refs])
+        return _fn(model, windows)
+
+    monkeypatch.setattr(train_module, "_forward", forward)
+    monkeypatch.setattr(train_module, "_score_windows", score_windows)
+    train(train_ds, TrainConfig(**dict(DESK, ablation=ablation)))
+    assert refs and checked == [[True] * len(refs)]
 
 
 def test_score_channel_mismatch_rejected():
