@@ -38,7 +38,6 @@ from .errors import (
 from .graph import adjacency_export
 from .oracles import run_all
 from .train import (
-    ABLATIONS,
     PAPER_SCALE,
     TrainConfig,
     load_checkpoint,
@@ -134,20 +133,14 @@ def _parse_interval(text, kind):
 
 
 def _add_train_config_flags(parser):
-    parser.add_argument("--window", type=int, help="window length T")
-    parser.add_argument("--stride", type=int, help="window stride S")
-    parser.add_argument("--batch", dest="batch_size", type=int, help="windows per batch B")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", dest="learning_rate", type=float)
-    parser.add_argument("--lam", type=float, help="alignment weight in the loss")
-    parser.add_argument("--beta", type=float, help="entropic regularization weight")
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--ablation", choices=tuple(ABLATIONS))
-    parser.add_argument("--hidden", type=int, help="recurrent hidden width")
-    parser.add_argument("--d-step", dest="d_step", type=int, help="per-step embedding width")
-    parser.add_argument("--flow-layers", dest="flow_layers", type=int)
-    parser.add_argument("--encoder-out-scale", dest="encoder_out_scale", type=float)
-    parser.add_argument("--split-fraction", dest="split_fraction", type=float)
+    """One flag per TrainConfig field but the seed, which each command declares
+    itself; the flag, help and choices come from the field's metadata. The
+    values are checked by TrainConfig, as config files and checkpoints skip argparse."""
+    for f in fields(TrainConfig):
+        if f.name != "seed":
+            parser.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")), dest=f.name,
+                                type=_FIELD_PARSERS[f.type][0], help=f.metadata.get("help"),
+                                choices=f.metadata.get("choices"))
 
 
 # TrainConfig field annotation -> (parser, what its values must be)
@@ -205,7 +198,6 @@ def _resolve_config(args):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-    values["seed"] = args.seed
     return TrainConfig.from_dict(values)
 
 

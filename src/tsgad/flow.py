@@ -14,7 +14,7 @@ an untrained or badly-scaled layer cannot overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,15 +56,8 @@ class FlowModel:
     cond_dim: int
 
     def tensors(self):
-        out = {}
-        for k, layer in enumerate(self.layers):
-            out[f"flow.{k}.w_scale"] = layer.w_scale
-            out[f"flow.{k}.w_shift"] = layer.w_shift
-            out[f"flow.{k}.v_scale"] = layer.v_scale
-            out[f"flow.{k}.v_shift"] = layer.v_shift
-            out[f"flow.{k}.b_scale"] = layer.b_scale
-            out[f"flow.{k}.b_shift"] = layer.b_shift
-        return out
+        return {f"flow.{k}.{f.name}": getattr(layer, f.name)
+                for k, layer in enumerate(self.layers) for f in fields(layer) if f.name != "mask"}
 
 
 def init_flow(input_dim, cond_dim, n_layers=2, rng=None, scale=0.0):

@@ -10,7 +10,7 @@ projection matrices.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,9 @@ class AttentionParams:
     @property
     def window(self):
         return self.w_query.data.shape[0]
+
+    def tensors(self):
+        return {f"attention.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def init_attention(window, rng):

@@ -51,19 +51,23 @@ def _is_number(value):
 
 @dataclass
 class TrainConfig:
-    window: int = 40
-    stride: int = 10
-    batch_size: int = 16
+    """Every training setting; ``tsgad train`` has one flag per field but the seed.
+
+    ``metadata`` may give a field's flag (default: ``--`` and the dashed name), help and choices.
+    """
+
+    window: int = field(default=40, metadata={"help": "window length T"})
+    stride: int = field(default=10, metadata={"help": "window stride S"})
+    batch_size: int = field(default=16, metadata={"flag": "--batch", "help": "windows per batch B"})
     epochs: int = 60
-    learning_rate: float = 0.002
-    lam: float = 0.1
-    beta: float = 0.05
+    learning_rate: float = field(default=0.002, metadata={"flag": "--lr"})
+    lam: float = field(default=0.1, metadata={"help": "alignment weight in the loss"})
+    beta: float = field(default=0.05, metadata={"help": "entropic regularization weight"})
     dropout: float = 0.2
     seed: int = 0
-    ablation: str = "full"
-    hidden: int = 32
-    d_step: int = 8
-    flow_layers: int = 2
+    ablation: str = field(default="full", metadata={"choices": tuple(ABLATIONS)})
+    hidden: int = field(default=32, metadata={"help": "recurrent hidden width"})
+    d_step: int = field(default=8, metadata={"help": "per-step embedding width"})
     encoder_out_scale: float = 1.0
     split_fraction: float = 0.6
 
@@ -78,9 +82,8 @@ class TrainConfig:
                 kind, ok = "a str", isinstance(value, str)
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-        for name in ("window", "stride", "batch_size", "epochs", "hidden", "d_step", "flow_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if f.type == "int" and f.name != "seed" and value < 1:
+                raise ConfigError(f"{f.name} must be positive, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2:
@@ -109,37 +112,28 @@ class TrainConfig:
 @dataclass
 class DetectionModel:
     config: TrainConfig
-    n_channels: int
     attention: AttentionParams
     encoder_params: object
     flow: object
 
     def named_parameters(self):
-        out = {
-            "attention.w_query": self.attention.w_query,
-            "attention.w_key": self.attention.w_key,
-        }
-        out.update(self.encoder_params.tensors())
-        out.update(self.flow.tensors())
-        return out
+        return self.attention.tensors() | self.encoder_params.tensors() | self.flow.tensors()
 
 
-def build_model(config, n_channels, seed=None):
-    seed = config.seed if seed is None else seed
-    att_rng, enc_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+def build_model(config):
+    att_rng, enc_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2))
     attention = init_attention(config.window, att_rng)
     encoder_params = init_encoder(config.hidden, config.d_step, enc_rng,
                                   out_scale=config.encoder_out_scale)
-    flow = init_flow(config.window, config.window * config.d_step, n_layers=config.flow_layers)
-    return DetectionModel(config=config, n_channels=n_channels,
-                          attention=attention, encoder_params=encoder_params, flow=flow)
+    flow = init_flow(config.window, config.window * config.d_step)
+    return DetectionModel(config=config, attention=attention, encoder_params=encoder_params, flow=flow)
 
 
 class Adam:
     """Standard Adam over named parameter tensors."""
 
     def __init__(self, params, learning_rate):
-        self.params = list(params.values()) if isinstance(params, dict) else list(params)
+        self.params = list(params.values())
         self.learning_rate = learning_rate
         self.beta1, self.beta2 = 0.9, 0.999
         self.eps = 1e-8
@@ -226,7 +220,7 @@ def train(train_ds, config):
         raise ConfigError(
             f"training split yields {len(windows)} windows, need at least one full batch of {cfg.batch_size}"
         )
-    model = build_model(cfg, train_ds.n_channels)
+    model = build_model(cfg)
     params = model.named_parameters()
     optimizer = Adam(params, cfg.learning_rate)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
@@ -289,15 +283,11 @@ def auc_roc(scores, labels):
             f"AUC-ROC needs both classes, got {n_pos} positive / {n_neg} negative"
         )
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])  # of each tie group
+    last = np.r_[first[1:], len(scores)] - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)  # average rank, 1-based
     rank_sum = ranks[labels == 1].sum()
     u_stat = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))
@@ -467,6 +457,7 @@ _RETIRED_FIELDS = {
     "score_lambda_scaled": False,  # the alignment term enters the score unscaled by lam
     "grad_clip": 0.0,  # gradients reach Adam unclipped
     "score_passes": 3,  # scoring averages the alignment terms over SCORE_PASSES batch compositions
+    "flow_layers": 2,  # the flow stacks init_flow's default of two layers
 }
 
 
@@ -523,9 +514,7 @@ def load_checkpoint(path):
 
 
 def model_from_checkpoint(checkpoint):
-    cfg = TrainConfig.from_dict(checkpoint["config"])
-    n_channels = len(checkpoint["channel_names"])
-    model = build_model(cfg, n_channels)
+    model = build_model(TrainConfig.from_dict(checkpoint["config"]))
     params = model.named_parameters()
     stored = checkpoint["parameters"]
     if set(stored) != set(params):

@@ -367,6 +367,7 @@ RETIRED_FIELDS = [
     pytest.param("score_lambda_scaled", [False], [True, 0, None], id="score_lambda_scaled"),
     pytest.param("grad_clip", [0.0, 0], [0.5, False, None], id="grad_clip"),
     pytest.param("score_passes", [3], [1, 3.0, None], id="score_passes"),
+    pytest.param("flow_layers", [2], [1, 2.0, None], id="flow_layers"),
 ]
 
 
@@ -413,9 +414,9 @@ def test_retired_field_in_config_file_or_replay_exit_1(tmp_path, capsys, name):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_train_config_flags_are_the_config_fields():
-    # _resolve_config reads a flag only through its field, so a flag left
-    # behind by a removed field would be parsed and silently dropped
+def test_train_config_flags_are_the_config_fields(capsys):
+    # one flag per TrainConfig field but the seed, which each command declares;
+    # two short flag names, and the help texts and choices the fields carry
     flags = argparse.ArgumentParser(add_help=False)
     _add_train_config_flags(flags)
     dests = sorted(action.dest for action in flags._actions)
@@ -423,6 +424,32 @@ def test_train_config_flags_are_the_config_fields():
     parsed = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json", "--seed", "1"])
     assert {f.name for f in fields(TrainConfig)} <= set(vars(parsed))
     assert {a.dest: a.choices for a in flags._actions}["ablation"] == tuple(ABLATIONS)
+    parsed = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json", "--seed", "1",
+                                        "--batch", "4", "--lr", "0.5"])
+    assert (parsed.batch_size, parsed.learning_rate) == (4, 0.5)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for help_text in ("window length T", "window stride S", "windows per batch B",
+                      "alignment weight in the loss", "entropic regularization weight",
+                      "recurrent hidden width", "per-step embedding width"):
+        assert help_text in text
+    assert f"--ablation {{{','.join(ABLATIONS)}}}" in text
+
+
+def test_paper_scale_switch_under_config_file_and_flags(tmp_path):
+    # precedence: flags > config file > --paper-scale > defaults
+    base = ["train", "--data", "d.csv", "--out", "m.json", "--seed", "1", "--paper-scale"]
+
+    def resolved(*extra):
+        return cli._resolve_config(build_parser().parse_args([*base, *extra]))
+
+    assert resolved() == TrainConfig(seed=1, window=80, batch_size=256, epochs=60)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("window = 20\n")
+    assert resolved("--config", str(cfg)) == TrainConfig(seed=1, window=20, batch_size=256, epochs=60)
+    assert resolved("--config", str(cfg), "--epochs", "1") == TrainConfig(seed=1, window=20, batch_size=256,
+                                                                           epochs=1)
 
 
 def test_non_finite_score_exit_3(tmp_path, capsys):

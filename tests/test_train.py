@@ -75,6 +75,18 @@ def test_auc_single_class_undefined():
         auc_roc([1.0, 2.0], [1, 1])
 
 
+def test_auc_with_many_ties_is_the_pairwise_definition():
+    # positives above negatives plus half the tied pairs, over few score levels
+    rng = np.random.default_rng(5)
+    for levels in (1, 2, 3, 7):
+        scores = rng.integers(0, levels, size=500).astype(float)
+        labels = (rng.random(500) < 0.3).astype(int)
+        labels[0], labels[1] = 0, 1
+        pos, neg = scores[labels == 1][:, None], scores[labels == 0][None, :]
+        pairwise = (pos > neg).mean() + 0.5 * (pos == neg).mean()
+        assert auc_roc(scores, labels) == pytest.approx(pairwise, abs=1e-12)
+
+
 def test_auc_invariant_under_monotone_transform():
     rng = np.random.default_rng(1)
     scores = rng.normal(size=60)
@@ -145,7 +157,7 @@ def test_no_ga_ablation_loss_is_pure_likelihood():
     result = train(train_ds, cfg)
     # recompute the first batch's loss independently: same shuffle stream,
     # fresh model from the same seed, alignment fully disabled
-    model = build_model(cfg, train_ds.n_channels)
+    model = build_model(cfg)
     windows, _, _ = window_table(train_ds, cfg.window, cfg.stride)
     order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(len(windows))
     batch = windows[order[: cfg.batch_size]]
@@ -161,7 +173,7 @@ def test_loss_decomposition_across_ablations():
         cfg = TrainConfig(ablation=ablation, dropout=0.0, **DESK)
         first_losses[ablation] = train(train_ds, cfg).loss_curve[0][2]
     cfg = TrainConfig(dropout=0.0, **DESK)
-    model = build_model(cfg, train_ds.n_channels)
+    model = build_model(cfg)
     windows, _, _ = window_table(train_ds, cfg.window, cfg.stride)
     order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).permutation(len(windows))
     batch = windows[order[: cfg.batch_size]]
