@@ -1,7 +1,8 @@
 """Command-line surface: synth | train | score | eval | oracle.
 
-Every command writes a JSON manifest (resolved configuration, input file
-digests, seed, artifact paths, wall-clock timings) next to its primary
+Every command but ``oracle`` without ``--out`` writes a JSON manifest
+(resolved configuration, the sha256 of each input file, a ``--config`` file
+included, seed, artifact paths, wall-clock timings) next to its primary
 output; ``tsgad --manifest <file>`` replays the recorded run. Exit codes:
 0 success, 1 usage/configuration error (an output path that cannot be
 written, a missing directory included), 2 data error (a missing input file
@@ -56,14 +57,7 @@ EXIT_SUITE = 4
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage is 1 here
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code, message=None):
-        super().__init__(message or "")
-        self.code = code
-        self.message = message
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _sha256(path):
@@ -74,28 +68,16 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(path, command, argv, config, inputs, outputs, seed, timings):
-    payload = {
-        "tool": "tsgad",
-        "tool_version": __version__,
-        "command": command,
-        "argv": list(argv),
-        "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
-        "seed": seed,
-        "timings_seconds": timings,
-    }
+def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
 
 
 class _UnusableOutput(OSError):
     """An output path open() would refuse; never a FileNotFoundError, so a missing directory exits 1."""
 
 
-def _check_outputs(outputs, inputs=()):
+def _check_outputs(outputs, inputs):
     """Refuse, before any work starts, an output path that open() would refuse
     or that names the same file as another output or an input.
 
@@ -201,33 +183,64 @@ def _resolve_config(args):
     return TrainConfig.from_dict(values)
 
 
-def _slice_series(ds, lo, hi):
-    return SeriesDataset(
-        channel_names=list(ds.channel_names),
-        values=ds.values[lo:hi].copy(),
-        labels=ds.labels[lo:hi].copy(),
-    )
-
-
-def _split_for_scoring(ds, split, fraction):
+def _split_rows(ds, split, fraction):
+    """The rows of ``split`` (train, test or all), cut where split_normalize cuts,
+    and the index of the first of them in ``ds``."""
     cut = int(ds.length * fraction)
-    if split == "train":
-        return _slice_series(ds, 0, cut), 0
-    if split == "test":
-        return _slice_series(ds, cut, ds.length), cut
-    return _slice_series(ds, 0, ds.length), 0
+    lo, hi = {"train": (0, cut), "test": (cut, ds.length), "all": (0, ds.length)}[split]
+    return SeriesDataset(list(ds.channel_names), ds.values[lo:hi], ds.labels[lo:hi]), lo
 
 
 def _format_float(x):
     return repr(float(x))
 
 
-def _score_paths(out_prefix):
-    return f"{out_prefix}.scores.csv", f"{out_prefix}.summary.json"
+def cmd_synth(args, out):
+    spec = [_parse_interval(s, "interdependency_shift") for s in args.shift or []]
+    spec += [_parse_interval(s, "spike") for s in args.spike or []]
+    ds = synth_generate(
+        n_channels=args.channels, length=args.length, anomaly_spec=spec,
+        seed=args.seed, noise=args.noise,
+    )
+    write_series(ds, out)
+    config = {"channels": args.channels, "length": args.length, "noise": args.noise,
+              "anomalies": [[iv.kind, iv.start, iv.stop] for iv in spec]}
+    return config, args.seed, {}, (
+        f"wrote {out} ({ds.length} rows x {ds.n_channels} channels, "
+        f"{int(ds.labels.sum())} anomalous steps)"), EXIT_OK
 
 
-def _write_score_outputs(report, offset, out_prefix):
-    scores_path, summary_path = _score_paths(out_prefix)
+def cmd_train(args, checkpoint_path, curve_path):
+    t0 = time.time()
+    config = _resolve_config(args)
+    train_ds, _ = (
+        split_normalize(read_series(args.data, label_column=args.label_column), config.split_fraction)
+    )
+    t_load = time.time() - t0
+    result = train(train_ds, config)
+    t_train = time.time() - t0 - t_load
+    save_checkpoint(result.checkpoint, checkpoint_path)
+    with open(curve_path, "w", encoding="utf-8") as fh:
+        fh.write("epoch,batch,loss\n")
+        for epoch, batch, loss in result.loss_curve:
+            fh.write(f"{epoch},{batch},{_format_float(loss)}\n")
+    return asdict(config), config.seed, {"load": t_load, "train": t_train}, (
+        f"trained {config.epochs} epochs on {train_ds.length} rows; "
+        f"final epoch loss {result.epoch_means[-1]:.6g}; checkpoint {checkpoint_path}"), EXIT_OK
+
+
+def cmd_score(args, scores_path, summary_path, graphs_path):
+    """``score``, and ``eval``, which also requires both classes of window."""
+    checkpoint = load_checkpoint(args.checkpoint)
+    config = TrainConfig.from_dict(checkpoint["config"])
+    part, offset = _split_rows(read_series(args.data, label_column=args.label_column),
+                               args.split, config.split_fraction)
+    report = score(part, checkpoint)
+    if args.command == "eval" and report.auc is None:
+        raise MetricUndefinedError(
+            "eval needs both normal and anomalous windows in the data; "
+            "use `tsgad score` for unlabeled data"
+        )
     with open(scores_path, "w", encoding="utf-8") as fh:
         fh.write("window_start,label,d_ga,nll,score,predicted\n")
         for i in range(len(report.scores)):
@@ -236,105 +249,25 @@ def _write_score_outputs(report, offset, out_prefix):
                 f"{_format_float(report.d_ga[i])},{_format_float(report.nll[i])},"
                 f"{_format_float(report.scores[i])},{int(report.predicted[i])}\n"
             )
-    summary = {
+    _write_json(summary_path, {
         "auc": report.auc,
         "threshold": report.threshold,
         "counts": report.counts,
         "n_windows": int(len(report.scores)),
         "n_predicted_anomalous": int(report.predicted.sum()),
-    }
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return scores_path, summary_path
-
-
-def cmd_synth(args, argv):
-    t0 = time.time()
-    _check_outputs([args.out, f"{args.out}.manifest.json"])
-    spec = [_parse_interval(s, "interdependency_shift") for s in args.shift or []]
-    spec += [_parse_interval(s, "spike") for s in args.spike or []]
-    ds = synth_generate(
-        n_channels=args.channels, length=args.length, anomaly_spec=spec,
-        seed=args.seed, noise=args.noise,
-    )
-    write_series(ds, args.out)
-    manifest = _write_manifest(
-        f"{args.out}.manifest.json", "synth", argv,
-        {"channels": args.channels, "length": args.length, "noise": args.noise,
-         "anomalies": [[iv.kind, iv.start, iv.stop] for iv in spec]},
-        [], [args.out], args.seed, {"total": time.time() - t0},
-    )
-    print(f"wrote {args.out} ({ds.length} rows x {ds.n_channels} channels, "
-          f"{int(ds.labels.sum())} anomalous steps); manifest {manifest}")
-    return EXIT_OK
-
-
-def cmd_train(args, argv):
-    t0 = time.time()
-    curve_path = args.loss_curve or f"{args.out}.loss.csv"
-    manifest_path = f"{args.out}.manifest.json"
-    _check_outputs([args.out, curve_path, manifest_path], [args.data, args.config])
-    config = _resolve_config(args)
-    train_ds, _ = (
-        split_normalize(read_series(args.data, label_column=args.label_column), config.split_fraction)
-    )
-    t_load = time.time() - t0
-    result = train(train_ds, config)
-    t_train = time.time() - t0 - t_load
-    save_checkpoint(result.checkpoint, args.out)
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,batch,loss\n")
-        for epoch, batch, loss in result.loss_curve:
-            fh.write(f"{epoch},{batch},{_format_float(loss)}\n")
-    manifest = _write_manifest(
-        manifest_path, "train", argv, asdict(config),
-        [args.data], [args.out, curve_path], config.seed,
-        {"load": t_load, "train": t_train, "total": time.time() - t0},
-    )
-    print(
-        f"trained {config.epochs} epochs on {train_ds.length} rows; "
-        f"final epoch loss {result.epoch_means[-1]:.6g}; checkpoint {args.out}; manifest {manifest}"
-    )
-    return EXIT_OK
-
-
-def _run_scoring(args, argv, command):
-    t0 = time.time()
-    manifest_path = f"{args.out_prefix}.manifest.json"
-    _check_outputs([*_score_paths(args.out_prefix), args.export_graphs, manifest_path],
-                   [args.data, args.checkpoint])
-    checkpoint = load_checkpoint(args.checkpoint)
-    config = TrainConfig.from_dict(checkpoint["config"])
-    full = read_series(args.data, label_column=args.label_column)
-    part, offset = _split_for_scoring(full, args.split, config.split_fraction)
-    report = score(part, checkpoint)
-    if command == "eval" and report.auc is None:
-        raise MetricUndefinedError(
-            "eval needs both normal and anomalous windows in the data; "
-            "use `tsgad score` for unlabeled data"
-        )
-    outputs = list(_write_score_outputs(report, offset, args.out_prefix))
-    if args.export_graphs:
-        adjacency_export(report.window_starts + offset, report.adjacency, args.export_graphs)
-        outputs.append(args.export_graphs)
-    manifest = _write_manifest(
-        manifest_path, command, argv, asdict(config),
-        [args.data, args.checkpoint], outputs, config.seed, {"total": time.time() - t0},
-    )
+    })
+    if graphs_path:
+        adjacency_export(report.window_starts + offset, report.adjacency, graphs_path)
     auc_text = "n/a" if report.auc is None else f"{report.auc:.4f}"
-    print(
-        f"{command}: {len(report.scores)} windows, auc {auc_text}, threshold {report.threshold:.6g}, "
-        f"flagged {int(report.predicted.sum())}; outputs {', '.join(outputs)}; manifest {manifest}"
-    )
-    return EXIT_OK
+    outputs = ", ".join(filter(None, (scores_path, summary_path, graphs_path)))
+    return asdict(config), config.seed, {}, (
+        f"{args.command}: {len(report.scores)} windows, auc {auc_text}, threshold {report.threshold:.6g}, "
+        f"flagged {int(report.predicted.sum())}; outputs {outputs}"), EXIT_OK
 
 
-def cmd_oracle(args, argv):
-    t0 = time.time()
+def cmd_oracle(args, out):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    manifest_path = f"{args.out}.manifest.json" if args.out else None
-    _check_outputs([args.out, manifest_path])
     results = run_all(seeds=args.seeds)
     all_passed = True
     for suite in results:
@@ -346,14 +279,44 @@ def cmd_oracle(args, argv):
         )
         for failure in suite["failures"]:
             print(f"         {failure}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(results, sort_keys=True, indent=2, default=str) + "\n")
-        _write_manifest(
-            manifest_path, "oracle", argv, {"seeds": args.seeds},
-            [], [args.out], args.seeds, {"total": time.time() - t0},
-        )
-    return EXIT_OK if all_passed else EXIT_SUITE
+    if out:
+        _write_json(out, results)
+    # the suites draw their own seeds 0..n-1; --seeds is their count, not a seed
+    return {"seeds": args.seeds}, None, {}, None, EXIT_OK if all_passed else EXIT_SUITE
+
+
+# Each command's files, named once: (manifest, outputs, inputs) of its
+# arguments, where an unset optional path is None (oracle without --out writes
+# no manifest). _run checks them before the command and records them after it.
+_FILES = {
+    "synth": lambda a: (f"{a.out}.manifest.json", [a.out], []),
+    "train": lambda a: (f"{a.out}.manifest.json", [a.out, a.loss_curve or f"{a.out}.loss.csv"],
+                        [a.data, a.config]),
+    "score": lambda a: (f"{a.out_prefix}.manifest.json",
+                        [f"{a.out_prefix}.scores.csv", f"{a.out_prefix}.summary.json", a.export_graphs],
+                        [a.data, a.checkpoint]),
+    "oracle": lambda a: (a.out and f"{a.out}.manifest.json", [a.out], []),
+}
+_FILES["eval"] = _FILES["score"]
+
+
+def _run(args, argv):
+    """Check the command's files, run it with its outputs, then write its manifest
+    and print its line. The command returns (config, seed, timings, line, exit code)."""
+    t0 = time.time()
+    manifest, outputs, inputs = _FILES[args.command](args)
+    _check_outputs([*outputs, manifest], inputs)
+    config, seed, timings, line, code = args.run(args, *outputs)
+    if manifest:
+        _write_json(manifest, {
+            "tool": "tsgad", "tool_version": __version__, "command": args.command, "argv": argv,
+            "config": config, "inputs": {str(p): _sha256(p) for p in filter(None, inputs)},
+            "outputs": [str(p) for p in filter(None, outputs)], "seed": seed,
+            "timings_seconds": {**timings, "total": time.time() - t0},
+        })
+    if line:
+        print(f"{line}; manifest {manifest}")
+    return code
 
 
 def build_parser():
@@ -371,6 +334,7 @@ def build_parser():
     p.add_argument("--noise", type=float, default=0.08)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("train", help="train a detector on the train split of a CSV")
     p.add_argument("--data", required=True)
@@ -382,6 +346,7 @@ def build_parser():
                    help="switch window/batch/epochs to the full-scale experiment values")
     p.add_argument("--seed", type=int, required=True)
     _add_train_config_flags(p)
+    p.set_defaults(run=cmd_train)
 
     for name, help_text in (
         ("score", "score windows of a CSV with a checkpoint"),
@@ -395,24 +360,14 @@ def build_parser():
         p.add_argument("--split", choices=("test", "train", "all"), default="test")
         p.add_argument("--export-graphs", metavar="CSV",
                        help="also export the adjacency each window was scored with")
+        p.set_defaults(run=cmd_score)
 
     p = sub.add_parser("oracle", help="run solver-vs-enumeration and gradient suites")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--out", help="write suite results as JSON")
+    p.set_defaults(run=cmd_oracle)
 
     return parser
-
-
-def _dispatch(args, argv):
-    if args.command == "synth":
-        return cmd_synth(args, argv)
-    if args.command == "train":
-        return cmd_train(args, argv)
-    if args.command in ("score", "eval"):
-        return _run_scoring(args, argv, args.command)
-    if args.command == "oracle":
-        return cmd_oracle(args, argv)
-    raise ConfigError("no command given; see tsgad --help")
 
 
 def main(argv=None):
@@ -422,28 +377,22 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.manifest:
             recorded = _read_manifest(args.manifest)
-            replay_argv = recorded.get("argv")
-            if not (isinstance(replay_argv, list) and replay_argv
-                    and all(isinstance(arg, str) for arg in replay_argv)):
+            argv = recorded.get("argv")
+            if not (isinstance(argv, list) and argv and all(isinstance(arg, str) for arg in argv)):
                 raise ConfigError(
                     f"{args.manifest}: manifest has no recorded argv (a list of strings) to replay"
                 )
             print(f"replaying {recorded.get('command')} from {args.manifest}")
-            args = parser.parse_args(replay_argv)
-            args.manifest = None
-            return _dispatch(args, replay_argv)
-        return _dispatch(args, argv)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
+            args = parser.parse_args(argv)
+        if args.command is None:
+            raise ConfigError("no command given; see tsgad --help")
+        return _run(args, argv)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 1 (see _Parser)
         return exc.code
     except ConfigError as exc:
         print(f"tsgad: configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, CheckpointError, MetricUndefinedError) as exc:
-        print(f"tsgad: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataFormatError, CheckpointError, MetricUndefinedError, FileNotFoundError) as exc:
         print(f"tsgad: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:  # a directory or unwritable path given for a file

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import hashlib
 import json
 from dataclasses import fields
 from functools import partial
@@ -260,6 +261,35 @@ def test_manifest_replay_reproduces_output(tmp_path):
     assert out.read_bytes() == original
 
 
+def _train_with_config(tmp_path):
+    """Train with a --config file holding half of FAST_TRAIN: (data, config, checkpoint)."""
+    data = _synth(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 20\nstride = 5\nbatch_size = 4\n")
+    ckpt = tmp_path / "cfg.ckpt.json"
+    assert main(["train", "--data", str(data), "--out", str(ckpt), "--seed", "3",
+                 "--config", str(cfg), *FAST_TRAIN[6:]]) == 0
+    return data, cfg, ckpt
+
+
+def test_train_manifest_digests_the_config_file(tmp_path):
+    data, cfg, ckpt = _train_with_config(tmp_path)
+    manifest = json.loads((tmp_path / "cfg.ckpt.json.manifest.json").read_text())
+    assert manifest["inputs"] == {str(data): hashlib.sha256(data.read_bytes()).hexdigest(),
+                                  str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest()}
+    assert manifest["outputs"] == [str(ckpt), f"{ckpt}.loss.csv"]
+
+
+def test_manifest_replay_of_train_with_config_file_reproduces_output(tmp_path):
+    _, _, ckpt = _train_with_config(tmp_path)
+    curve = tmp_path / "cfg.ckpt.json.loss.csv"
+    original = {path: path.read_bytes() for path in (ckpt, curve)}
+    for path in original:
+        path.unlink()
+    assert main(["--manifest", str(tmp_path / "cfg.ckpt.json.manifest.json")]) == 0
+    assert {path: path.read_bytes() for path in original} == original
+
+
 def test_bad_checkpoint_exit_2(tmp_path, capsys):
     data = _synth(tmp_path)
     bad = tmp_path / "bad.json"
@@ -475,6 +505,16 @@ def test_usage_error_exit_1():
     assert main(["train"]) == 1  # missing required flags
 
 
+def test_no_command_exit_1(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == "tsgad: configuration error: no command given; see tsgad --help\n"
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: tsgad ")
+
+
 # each suite, the reference it checks against, and a wrong stand-in for that reference
 # (a negative optimum would pass the Sinkhorn suite, whose gap is relative to the optimum)
 @pytest.mark.parametrize("suite, reference, wrong", [
@@ -500,6 +540,16 @@ def test_oracle_pass_and_fault_injection(tmp_path, monkeypatch):
     assert main(["oracle", "--seeds", "4", "--out", str(tmp_path / "faulty.json")]) == 4
     results = json.loads((tmp_path / "faulty.json").read_text())
     assert [suite["name"] for suite in results if not suite["passed"]] == ["sinkhorn-vs-enumeration"]
+
+
+def test_oracle_manifest_records_the_suite_count_but_no_seed(tmp_path, monkeypatch):
+    # the suites draw their own seeds 0..n-1, so --seeds is no seed of the run
+    monkeypatch.setattr(cli, "run_all", lambda seeds: [])
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--seeds", "2", "--out", str(out)]) == 0
+    assert out.read_text() == "[]\n"
+    manifest = json.loads((tmp_path / "oracle.json.manifest.json").read_text())
+    assert (manifest["seed"], manifest["config"], manifest["outputs"]) == (None, {"seeds": 2}, [str(out)])
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])
