@@ -546,14 +546,19 @@ def alignment_equivalence_check(
 
 
 def _wd_pulls(xs, xt, plans, dist):
-    """Gradients of ``<plans, dist>``, ``dist = cost_matrix(xs, xt)``, w.r.t. xs and xt (or stacks of them).
+    """Gradients of ``<plans[k], dist[k]>``, ``dist[k] = cost_matrix(xs[k], xt[k])``, w.r.t. stacks xs and xt.
 
     In Gram form, ``sum_j s_ij (x_i - y_j) = (sum_j s_ij) x_i - (s @ y)_i`` with ``s = plan / dist``.
+    The gradient w.r.t. xt is written over ``xt``, window by window: each window's operations are the
+    stacked expression's (one GEMM per window either way), and one (n, d) temporary is all they add.
     """
     scale = np.where(dist > 1e-12, plans / np.maximum(dist, 1e-12), 0.0)
-    pull_s = scale.sum(axis=-1)[..., None] * xs - np.matmul(scale, xt)
-    pull_t = scale.sum(axis=-2)[..., None] * xt - np.matmul(np.swapaxes(scale, -1, -2), xs)
-    return pull_s, pull_t
+    pull_s, product = np.empty(xs.shape), np.empty(xs.shape[1:])
+    sums = zip(scale.sum(axis=-1)[..., None], scale.sum(axis=-2)[..., None])
+    for x, y, s, pull, (row_sum, col_sum) in zip(xs, xt, scale, pull_s, sums):
+        np.subtract(np.multiply(row_sum, x, out=pull), np.matmul(s, y, out=product), out=pull)
+        np.subtract(np.multiply(col_sum, y, out=y), np.matmul(s.T, x, out=product), out=y)
+    return pull_s, xt
 
 
 def _sign_quartet_grads(a_s, a_t, plan):
@@ -624,9 +629,10 @@ class BatchAlignment:
     gwd_plans: list = field(default_factory=list, repr=False)
 
 
-def _leave_one_out(total, parts, batch):
+def _leave_one_out(total, parts, batch, out=None):
     """``(total - parts[i]) / (batch - 1)``: for each window i, the mean of the other windows' parts."""
-    return (total - parts) / (batch - 1)
+    loo = np.subtract(total, parts, out=out)
+    return np.divide(loo, batch - 1, out=loo)
 
 
 def batch_alignment(
@@ -710,18 +716,21 @@ def batch_alignment(
             gwd_plans += [gwd.plan(k) for k in range(len(gwd.plans))]
     ga_vals = lam * (wd_vals + gwd_vals)
 
-    def chain(source, reference):
-        """Window k's gradient: its source pull plus the mean of the other windows' reference pulls."""
-        return lam / batch * (source + _leave_one_out(reference.sum(axis=0), reference, batch))
+    def chain(source, reference, grad):
+        """``grad * lam / batch * (source + the leave-one-out mean of reference)``, written over both:
+        window k's gradient, its source pull plus the mean of the other windows' reference pulls."""
+        out = np.add(source, _leave_one_out(reference.sum(axis=0), reference, batch, out=reference), out=source)
+        np.multiply(out, lam / batch, out=out)
+        return np.multiply(out, float(grad), out=out)
 
     def wd_grad(grad):
         refs = _leave_one_out(emb_sum_np, emb_np, batch)
-        return float(grad) * chain(*_wd_pulls(emb_np, refs, np.stack([p.plan for p in wd_plans]), wd_costs))
+        return chain(*_wd_pulls(emb_np, refs, np.stack([p.plan for p in wd_plans]), wd_costs), grad)
 
     def gwd_grad(grad):
         refs = _leave_one_out(adj_sum_np, adj_np, batch)
         pairs = [_sign_quartet_grads(a, r, p.plan) for a, r, p in zip(adj_np, refs, gwd_plans)]
-        return float(grad) * chain(*(np.stack(g) for g in zip(*pairs)))
+        return chain(*(np.stack(g) for g in zip(*pairs)), grad)
 
     rules = [rule for term, rule in (("wd", (emb, wd_grad)), ("gwd", (adj, gwd_grad))) if term in terms]
     return BatchAlignment(

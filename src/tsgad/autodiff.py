@@ -5,7 +5,9 @@ its parents and a backward rule on the result node. ``backward`` walks the
 recorded graph once in reverse topological order, so every input node is
 visited after all of its consumers and each ``requires_grad`` leaf ends up
 with d(loss)/d(leaf) accumulated additively. Set ``t.grad = None`` (as
-``Adam.zero_grad`` does) between optimizer steps.
+``Adam.zero_grad`` does) between optimizer steps. The walk releases each node's
+rule and parents once the rule has run, so what only the tape held is freed as
+it goes; a later ``backward`` over a released node raises ValueError.
 
 ``node(data, *rules)`` is the one node constructor: a rule pairs a parent with
 the map from the node's gradient to the parent's. Every op here and
@@ -40,7 +42,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.array(data, dtype=np.float64)
@@ -365,6 +367,8 @@ def _topo_order(root):
             continue
         if id(current) in visited:
             continue
+        if current._parents is None:
+            raise ValueError("backward: the tape of this loss was released by an earlier backward")
         visited.add(id(current))
         stack.append((current, True))
         for parent in current._parents:
@@ -381,8 +385,13 @@ def backward(loss):
         raise ValueError("backward: loss is not connected to any requires_grad tensor")
     order = _topo_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for current in reversed(order):
-        if current._backward is not None and current.grad is not None:
+    while order:
+        current = order.pop()
+        if current._backward is None:
+            continue  # a leaf
+        if current.grad is not None:
             current._backward(current.grad)
             if current is not loss:
-                current.grad = None  # free intermediate buffers
+                current.grad = None
+        # release the node's tape: what only the tape held dies before the parents' rules run
+        current._backward, current._parents = None, None

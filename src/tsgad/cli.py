@@ -3,10 +3,10 @@
 Every command but ``oracle`` without ``--out`` writes a JSON manifest
 (resolved configuration, the sha256 of each input file, a ``--config`` file
 included, seed, artifact paths, wall-clock timings) next to its primary
-output; ``tsgad --manifest <file>`` replays the recorded run. Exit codes:
-0 success, 1 usage/configuration error (an output path that cannot be
-written, a missing directory included), 2 data error (a missing input file
-included), 3 numeric failure, 4 property-suite failure.
+output; ``tsgad --manifest <file>``, given no command, replays the recorded
+run. Exit codes: 0 success, 1 usage/configuration error (an output path that
+cannot be written, a missing directory included), 2 data error (a missing
+input file included), 3 numeric failure, 4 property-suite failure.
 """
 
 from __future__ import annotations
@@ -376,6 +376,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.manifest:
+            if args.command is not None:
+                raise ConfigError(f"--manifest replays the recorded command; {args.command!r} given with it")
             recorded = _read_manifest(args.manifest)
             argv = recorded.get("argv")
             if not (isinstance(argv, list) and argv and all(isinstance(arg, str) for arg in argv)):

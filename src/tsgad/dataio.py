@@ -41,7 +41,7 @@ class SeriesDataset:
             raise DataFormatError("channel_names length must match the value columns")
         if self.labels.shape != (self.values.shape[0],):
             raise DataFormatError("labels must have one entry per time step")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():  # np.isin takes ~8x as long
             raise DataFormatError("labels must be binary")
         finite = np.isfinite(self.values)
         if not finite.all():

@@ -11,14 +11,20 @@ parameters, and encoder weights.
 With the tape on, ``encode_batch`` is a single tape node (Hochreiter &
 Schmidhuber 1997 for the cell, Werbos 1990 for backpropagation through time)
 whose tape is h and c alone, two (T + 1, B*N, h) slabs with the zero state at
-index 0. The backward recomputes each step's gates with the forward's own
-``_Cell`` on the forward's own blocks (compute traded for memory, Chen et al.
-2016) and sums in the order a tape of one node per op would, so gradients are
-bit-identical to that composition: the readout first, t = 0 .. T-1 (a
-reverse-order or stacked readout reorders the sums into w_mix, w_history,
-w_project and the adjacency), adding each step's adjacency gradient into the
-node as it is made (alignment also feeds it); then the recurrence, last step
-first, with its parameter-gradient GEMMs and sums over the whole batch.
+index 0. The backward sums in the order a tape of one node per op would, so
+gradients are bit-identical to that composition, in two passes. The readout's,
+t = 0 .. T-1, accumulates w_project, w_mix, w_history and the adjacency (a
+reverse-order or stacked readout reorders those sums), adding each step's
+adjacency gradient into the node as it is made (alignment also feeds it), and
+keeps each step's ReLU mask, a bool array. The recurrence's, last step first,
+accumulates bias, w_input and w_hidden with GEMMs and sums over the whole
+batch. The two sets of parameters are disjoint, so neither pass reorders the
+other's sums, and the recurrence rebuilds d loss / d h_t at each step as
+``A^T @ g_mixed_t + g_relu_{t+1} @ w_history^T``, recomputing g_relu from the
+mask and g_mixed with the readout's own full-batch ``matmul`` calls, instead of
+keeping a (T, B*N, h) float64 slab of it. It recomputes each step's gates with the
+forward's own ``_Cell`` on the forward's own blocks, also trading compute for
+memory (Chen et al. 2016).
 
 The forward runs over blocks of at most ``_BLOCK_ROWS`` B*N rows (whole
 windows) in buffers made once, so a step's working set stays in cache; the
@@ -119,38 +125,45 @@ def encode_batch(windows, adjacency, params):
         if tensor.requires_grad:
             tensor._accumulate(grad)
 
-    def readout_backward(grad):
-        """Readout gradients, t = 0 .. T-1; returns d loss / d h_t for every step, (T, B*N, h)."""
-        d_hidden = np.empty((n_steps, n_batch, n_chan, h))
+    def backward(grad):
+        """The readout's gradients, t = 0 .. T-1, keeping each step's ReLU mask; then the cell's,
+        t = T-1 .. 0, rebuilding d loss / d h_t from the masks: elementwise work on the forward's
+        blocks (buffers made once per block size), parameter-gradient GEMMs and sums over the batch."""
         g_steps = np.ascontiguousarray(grad.reshape(n_batch, n_chan, n_steps, d_step).transpose(2, 0, 1, 3))
+        masks = np.empty((n_steps, n_batch, n_chan, h), dtype=bool)
         mixed_in, relu_in, scratch, g_relu, g_mixed_in = np.empty((5, n_batch, n_chan, h))
+
+        def relu_grads(t, out):
+            """Step t's d loss / d (the ReLU input) into ``out``, and d loss / d (A @ H_t) into g_mixed_in."""
+            np.multiply(np.matmul(g_steps[t], wt_project, out=out), masks[t], out=out)
+            np.matmul(out, wt_mix, out=g_mixed_in)
+
         for t, g_out in enumerate(g_steps):
             h_prev3, h_now3 = hs[t : t + 2].reshape(2, n_batch, n_chan, h)
             _readout_input(a, h_now3, h_prev3, w_mix, w_history, mixed_in, relu_in, scratch)
             accumulate(params.w_project, np.matmul(_swap(np.maximum(relu_in, 0.0, out=scratch)), g_out).sum(axis=0))
-            np.multiply(np.matmul(g_out, wt_project, out=g_relu), relu_in > 0.0, out=g_relu)
+            np.greater(relu_in, 0.0, out=masks[t])
+            relu_grads(t, g_relu)
             accumulate(params.w_mix, np.matmul(_swap(mixed_in), g_relu).sum(axis=0))
-            np.matmul(g_relu, wt_mix, out=g_mixed_in)
             accumulate(adjacency, np.matmul(g_mixed_in, _swap(h_now3)))
             accumulate(params.w_history, np.matmul(_swap(h_prev3), g_relu).sum(axis=0))
-            np.matmul(a_t, g_mixed_in, out=d_hidden[t])
-            if t > 0:
-                np.add(d_hidden[t - 1], np.matmul(g_relu, wt_history, out=scratch), out=d_hidden[t - 1])
-        return d_hidden.reshape(n_steps, rows, h)
-
-    def backward(grad):
-        """The cell's gradients, t = T-1 .. 0, after the readout's: elementwise work on the forward's
-        blocks (buffers made once per block size), parameter-gradient GEMMs and sums over the batch."""
-        d_hidden = readout_backward(grad)
+        # the readout's buffers serve the cell's pass: d loss / d h_t, and g_relu at t and t + 1
+        d_hidden, g_relu_next = mixed_in, relu_in
         # per block size: a cell, then tanh(c_t), d_c, a factor, 1 - the sigmoid gates, d_pre's quarters
         work = {n: (_Cell(n, w), np.empty((10, n, h))) for n in {r.stop - r.start for _, r in blocks}}
         d_pre, d_h_next, d_c_next = np.empty((rows, 4 * h)), np.empty((rows, h)), np.empty((rows, h))
         for t in reversed(range(n_steps)):
+            # d loss / d h_t = a_t @ g_mixed_in_t + g_relu_{t+1} @ wt_history, as the readout's tape sums it
+            relu_grads(t, g_relu)
+            np.matmul(a_t, g_mixed_in, out=d_hidden)
+            if t < n_steps - 1:
+                np.add(d_hidden, np.matmul(g_relu_next, wt_history, out=scratch), out=d_hidden)
+            g_relu, g_relu_next = g_relu_next, g_relu
             for _, r in blocks:
                 cell, buffers = work[r.stop - r.start]
                 tanh_c, d_c, factor, one_minus, d_quarters = *buffers[:3], buffers[3:6], buffers[6:]
                 gate_in, gate_forget, gate_out, candidate = gates = cell.step(x_cols[t, r], hs[t, r])
-                d_h = d_hidden[t, r]
+                d_h = d_hidden.reshape(rows, h)[r]
                 if t < n_steps - 1:
                     np.add(d_h, d_h_next[r], out=d_h)
                 np.tanh(cs[t + 1, r], out=tanh_c)

@@ -122,6 +122,22 @@ def test_backward_rejects_nonscalar():
         ad.backward(x * 2.0)
 
 
+def test_backward_on_a_released_tape_raises():
+    """backward releases the tape it walked: a second backward from the same loss, or from a
+    node built on a walked one, raises instead of silently adding nothing."""
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x * x
+    loss = y.sum()
+    ad.backward(loss)
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        ad.backward(loss)
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        ad.backward((y * 2.0).sum())
+    np.testing.assert_allclose(x.grad, [2.0, 4.0])
+    ad.backward((x * x).sum())  # leaves are never released: a fresh tape from them works
+    np.testing.assert_allclose(x.grad, [4.0, 8.0])
+
+
 def test_grad_accumulates_across_uses():
     x = Tensor([1.0], requires_grad=True)
     loss = (x * 2.0 + x * 3.0).sum()

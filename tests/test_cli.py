@@ -261,6 +261,21 @@ def test_manifest_replay_reproduces_output(tmp_path):
     assert out.read_bytes() == original
 
 
+def test_manifest_with_a_command_exit_1(tmp_path, capsys):
+    out = _synth(tmp_path, "orig.csv")
+    original, written = out.read_bytes(), out.stat().st_mtime_ns
+    capsys.readouterr()
+    code = main(["--manifest", str(tmp_path / "orig.csv.manifest.json"),
+                 "synth", "--seed", "2", "--length", "200", "--out", str(tmp_path / "b.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "tsgad: configuration error: --manifest replays the recorded command; 'synth' given with it"]
+    assert (out.read_bytes(), out.stat().st_mtime_ns) == (original, written)
+    assert not (tmp_path / "b.csv").exists()
+
+
 def _train_with_config(tmp_path):
     """Train with a --config file holding half of FAST_TRAIN: (data, config, checkpoint)."""
     data = _synth(tmp_path)

@@ -163,3 +163,11 @@ def test_split_normalize_tiny_split_rejected():
     ds = SeriesDataset(["a", "b"], np.ones((10, 2)), np.zeros(10))
     with pytest.raises(ConfigError):
         split_normalize(ds, 0.05)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_non_binary_labels_rejected(bad):
+    labels = np.zeros(10)
+    labels[3] = bad
+    with pytest.raises(DataFormatError, match="labels must be binary"):
+        SeriesDataset(["a", "b"], np.ones((10, 2)), labels)

@@ -308,3 +308,24 @@ def test_taped_backward_holds_a_few_arrays_per_step():
         tracemalloc.stop()
     array_bytes = n_batch * n_chan * hidden * 8
     assert peak <= 5 * n_steps * array_bytes, peak / (n_steps * array_bytes)
+
+
+def test_backward_holds_no_per_step_gradient_slab():
+    """The cell's pass rebuilds d loss / d h_t step by step from the readout's ReLU masks, so at
+    the paper's window the backward allocates less than one (T, B*N, h) float64 slab: the masks
+    (an eighth of one), the step-major gradient and a few dozen (B*N, h) buffers."""
+    n_batch, n_steps, n_chan, hidden = 32, 80, 8, 32
+    params = init_encoder(hidden, 8, np.random.default_rng(32))
+    windows = np.random.default_rng(33).normal(size=(n_batch, n_steps, n_chan))
+    adjacency = Tensor(np.full((n_batch, n_chan, n_chan), 1.0 / n_chan), requires_grad=True)
+    emb = encode_batch(windows, adjacency, params)
+    grad = np.random.default_rng(34).normal(size=emb.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emb._backward(grad)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    slab = n_steps * n_batch * n_chan * hidden * 8
+    assert peak < slab, peak / slab

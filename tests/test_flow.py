@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from tsgad import autodiff as ad
 from tsgad.autodiff import Tensor
 from tsgad.checks import gradient_check
+from tsgad.encoder import encode_batch, init_encoder
 from tsgad.flow import (
     batch_log_likelihood,
     forward,
@@ -158,3 +161,28 @@ def test_shape_contracts():
         log_prob(np.zeros(4), np.zeros(3), model)
     with pytest.raises(ValueError, match="one condition row"):
         log_prob(np.zeros((2, 4)), np.zeros((3, 2)), model)
+
+
+def test_flow_tape_is_freed_before_the_encoder_backward():
+    """backward releases each node once its rule has run, so the flow's nodes, which only the
+    tape holds, and their arrays are gone when the encoder's backward starts, as in training."""
+    n_batch, n_steps, n_chan = 4, 6, 3
+    rng = np.random.default_rng(40)
+    windows = rng.normal(size=(n_batch, n_steps, n_chan))
+    adjacency = Tensor(np.full((n_batch, n_chan, n_chan), 1.0 / n_chan), requires_grad=True)
+    emb = encode_batch(windows, adjacency, init_encoder(8, 2, rng))
+    rows = n_batch * n_chan
+    x = Tensor(windows.transpose(0, 2, 1).reshape(rows, n_steps))
+    loss = -batch_log_likelihood(x, ad.reshape(emb, (rows, -1)), _random_flow(n_steps, 2 * n_steps))
+    tape = [weakref.ref(t) for t in ad._topo_order(loss) if t._backward is not None and t not in (loss, emb)]
+    alive = []
+    encoder_backward = emb._backward
+
+    def record(grad):
+        alive.append(sum(ref() is not None for ref in tape))
+        encoder_backward(grad)
+
+    emb._backward = record
+    ad.backward(loss)
+    assert len(tape) > 30 and alive == [0], (len(tape), alive)
+    assert adjacency.grad is not None and loss._backward is None and emb._backward is None
