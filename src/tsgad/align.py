@@ -270,13 +270,18 @@ def _factorized_pseudo_costs(tables, plans):
         # (K, n, cols, m): weights[k, i', j, b] = plans[k, i', order[k, j, b]]
         weights = plans.take(gather)
         cum_w = np.zeros(weights.shape[:3] + (m + 1,))
-        cum_w[..., 1:] = np.cumsum(weights, axis=-1)
+        np.cumsum(weights, axis=-1, out=cum_w[..., 1:])
         cum_v = np.zeros_like(cum_w)
-        cum_v[..., 1:] = np.cumsum(weights * sorted_vals[:, None, rows], axis=-1)
+        np.cumsum(np.multiply(weights, sorted_vals[:, None, rows], out=weights), axis=-1, out=cum_v[..., 1:])
         total_v = cum_v[..., -1].transpose(0, 2, 1)[:, :, None, :]  # total_v[k, j, 0, i']
         below_w = cum_w.take(flat)  # (K, cols, n, n): below_w[k, j, i, i']
         below_v = cum_v.take(flat)
-        per_pair = a_s[:, None] * (2.0 * below_w - total_w) + total_v - 2.0 * below_v
+        per_pair = below_w  # a_s * (2 below_w - total_w) + total_v - 2 below_v, formed in place
+        per_pair *= 2.0
+        per_pair -= total_w
+        per_pair *= a_s[:, None]
+        per_pair += total_v
+        per_pair -= np.multiply(below_v, 2.0, out=below_v)
         pseudo[:, :, rows] = per_pair.sum(axis=-1).transpose(0, 2, 1)
     return pseudo
 

@@ -12,8 +12,9 @@ it goes; a later ``backward`` over a released node raises ValueError.
 ``node(data, *rules)`` is the one node constructor: a rule pairs a parent with
 the map from the node's gradient to the parent's. Every op here and
 ``align.batch_alignment``'s loss term use it; only ``take`` (a slice-add into
-the parent's gradient) and ``encoder.encode_batch`` (one streamed backward
-for all parents) build their nodes by hand with ``Tensor._make``.
+the parent's gradient), ``encoder.encode_batch`` and ``flow.log_prob`` (each one
+hand-written backward for all its parents, adding in the order a tape of one
+node per op would) build their nodes by hand with ``Tensor._make``.
 
 All arrays are float64 and row-major. Shape-changing ops (reshape,
 transpose, slicing, flip) return copies, never views, so mutating an

@@ -129,7 +129,7 @@ def encode_batch(windows, adjacency, params):
         """The readout's gradients, t = 0 .. T-1, keeping each step's ReLU mask; then the cell's,
         t = T-1 .. 0, rebuilding d loss / d h_t from the masks: elementwise work on the forward's
         blocks (buffers made once per block size), parameter-gradient GEMMs and sums over the batch."""
-        g_steps = np.ascontiguousarray(grad.reshape(n_batch, n_chan, n_steps, d_step).transpose(2, 0, 1, 3))
+        g_steps = grad.reshape(n_batch, n_chan, n_steps, d_step).transpose(2, 0, 1, 3)  # strided views, no copy
         masks = np.empty((n_steps, n_batch, n_chan, h), dtype=bool)
         mixed_in, relu_in, scratch, g_relu, g_mixed_in = np.empty((5, n_batch, n_chan, h))
 

@@ -10,6 +10,19 @@ change of variables.
 
 Scale outputs are bounded to [-5, 5] through tanh before exponentiation so
 an untrained or badly-scaled layer cannot overflow.
+
+``log_prob`` and ``forward`` run one numpy forward, and ``inverse`` its
+per-layer scale and shift, ``FlowLayer.scale_shift`` (Papamakarios et al. 2017
+for masked autoregressive flows). With the tape on, ``log_prob`` is one tape
+node over the inputs, the conditions and the flow's parameters. Its tape is
+each layer's input, tanh(raw_s / 5) and exp(s), and the last layer's output:
+three (rows, T) arrays a layer, the caller's inputs counted. Its backward adds
+every gradient in the order a tape of one node per op adds it, so the
+gradients are bit-identical to that composition's: a layer's input takes
+exp(s) * dz, then the shift's and the scale's matmul terms (the scale's first
+below the last layer), and the conditions take the last layer's shift term,
+the scale terms from layer L - 2 down to 0, the shift terms from 0 up to L - 2
+and the last layer's scale term, added a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from .autodiff import Tensor
 
 SCALE_BOUND = 5.0
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
+_CHUNK_ROWS = 1024  # the conditions' gradient is added in chunks of this many rows or more
 
 
 def strict_mask(dim):
@@ -40,13 +54,22 @@ class FlowLayer:
     b_shift: Tensor  # (1, T)
     mask: np.ndarray = field(repr=False, default=None)
 
-    def scale_shift(self, x, cond):
-        masked_ws = self.w_scale * Tensor(self.mask)
-        masked_wm = self.w_shift * Tensor(self.mask)
-        raw_s = ad.matmul(x, masked_ws) + ad.matmul(cond, self.v_scale) + self.b_scale
-        s = ad.tanh(raw_s * (1.0 / SCALE_BOUND)) * SCALE_BOUND
-        m = ad.matmul(x, masked_wm) + ad.matmul(cond, self.v_shift) + self.b_shift
-        return s, m
+    def masked(self):
+        """The autoregressive weights under the strict mask: (scale, shift)."""
+        return self.w_scale.data * self.mask, self.w_shift.data * self.mask
+
+    def scale_shift(self, u, cond):
+        """tanh(raw_s / SCALE_BOUND) and the shift m at the layer input ``u``, as (rows, T) arrays."""
+        w_scale, w_shift = self.masked()
+        th = np.matmul(u, w_scale)
+        th += np.matmul(cond, self.v_scale.data)
+        th += self.b_scale.data
+        th *= 1.0 / SCALE_BOUND
+        np.tanh(th, out=th)
+        m = np.matmul(u, w_shift)
+        m += np.matmul(cond, self.v_shift.data)
+        m += self.b_shift.data
+        return th, m
 
 
 @dataclass
@@ -103,20 +126,29 @@ def _promote(x, cond, model):
     return x, cond, single
 
 
-def forward(x, cond, model):
-    """Map data to the base space: returns (z, log_det) with per-row log_det."""
-    x, cond, single = _promote(x, cond, model)
-    z = x
-    log_det = Tensor(np.zeros(x.shape[0]))
+def _run(x, cond, model, keep):
+    """The flow's numpy forward: z, log_det and, if ``keep``, each layer's (input, tanh(raw_s / 5), exp(s))."""
+    z, log_det, kept = x, np.zeros(x.shape[0]), []
     for k, layer in enumerate(model.layers):
-        if k > 0:
-            z = ad.flip_last(z)  # new coordinate order for this layer
-        s, m = layer.scale_shift(z, cond)
-        z = ad.exp(s) * z + m
-        log_det = log_det + ad.sum_(s, axis=1)
+        u = z[:, ::-1].copy() if k > 0 else z  # new coordinate order for this layer
+        th, m = layer.scale_shift(u, cond)
+        e = th * SCALE_BOUND
+        log_det += e.sum(axis=1)
+        np.exp(e, out=e)
+        z = e * u
+        z += m
+        if keep:
+            kept.append((u, th, e))
+    return z, log_det, kept
+
+
+def forward(x, cond, model):
+    """Map data to the base space: returns (z, log_det) with per-row log_det (no tape)."""
+    x, cond, single = _promote(x, cond, model)
+    z, log_det, _ = _run(x.data, cond.data, model, keep=False)
     if single:
-        return ad.reshape(z, (z.shape[1],)), log_det[0]
-    return z, log_det
+        return Tensor(z[0]), Tensor(log_det[0])
+    return Tensor(z), Tensor(log_det)
 
 
 def inverse(z, cond, model):
@@ -124,24 +156,85 @@ def inverse(z, cond, model):
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
     x = z.copy()
-    with ad.no_grad():
-        for k in reversed(range(len(model.layers))):
-            layer = model.layers[k]
-            out = np.zeros_like(x)
-            for col in range(model.input_dim):
-                s, m = layer.scale_shift(out, cond)
-                out[:, col] = (x[:, col] - m.data[:, col]) * np.exp(-s.data[:, col])
-            x = out[..., ::-1] if k > 0 else out  # undo this layer's coordinate order
+    for k in reversed(range(len(model.layers))):
+        out = np.zeros_like(x)
+        for col in range(model.input_dim):
+            th, m = model.layers[k].scale_shift(out, cond)
+            out[:, col] = (x[:, col] - m[:, col]) * np.exp(-(th[:, col] * SCALE_BOUND))
+        x = out[..., ::-1] if k > 0 else out  # undo this layer's coordinate order
     return x
 
 
 def log_prob(x, cond, model):
-    """Exact log-density under the flow; differentiable w.r.t. x, cond, params."""
+    """Exact log-density under the flow; differentiable w.r.t. x, cond, params.
+
+    With the tape on, the per-row densities are one node over x, cond and the
+    flow's parameters (see the module docstring for the order of its sums).
+    """
     x, cond, single = _promote(x, cond, model)
-    z, log_det = forward(x, cond, model)
-    gauss = ad.sum_(z * z, axis=1) * -0.5 - 0.5 * model.input_dim * LOG_TWO_PI
-    out = gauss + log_det
-    return out[0] if single else out
+    params = tuple(model.tensors().values())
+    taping = ad._tracking(x, cond, *params)
+    z, log_det, kept = _run(x.data, cond.data, model, keep=taping)
+    out = (z * z).sum(axis=1) * -0.5 - 0.5 * model.input_dim * LOG_TWO_PI
+    out += log_det
+    last = len(model.layers) - 1
+
+    def backward(grad):
+        dz = z * (grad * -0.5)[:, None]
+        dz += dz  # z * z hands z its gradient twice
+        scale_terms, shift_terms = [], []  # (f, v) per layer, the last first: d cond takes f @ v^T
+        for k in reversed(range(len(kept))):
+            layer, (u, th, e) = model.layers[k], kept.pop()
+            # d raw_s: dz reaches s through exp(s) and through log_det, then the bound and the tanh
+            d_raw = dz * u
+            d_raw *= e
+            d_raw += grad[:, None]
+            d_raw *= SCALE_BOUND
+            d_raw *= np.subtract(1.0, np.multiply(th, th, out=th), out=th)
+            d_raw *= 1.0 / SCALE_BOUND
+            scale_terms.append((d_raw, layer.v_scale.data))
+            shift_terms.append((dz, layer.v_shift.data))
+            for w, v, b, d in ((layer.w_scale, layer.v_scale, layer.b_scale, d_raw),
+                               (layer.w_shift, layer.v_shift, layer.b_shift, dz)):
+                by_sum, by_cond, by_u = d.sum(axis=0, keepdims=True), _swap(cond.data) @ d, _swap(u) @ d
+                for param, g in ((b, by_sum), (v, by_cond), (w, by_u * layer.mask)):
+                    if param.requires_grad:
+                        param._accumulate(g)
+            if k == 0 and not x.requires_grad:
+                break
+            w_scale, w_shift = layer.masked()
+            by_scale, by_shift = np.matmul(d_raw, _swap(w_scale)), np.matmul(dz, _swap(w_shift))
+            terms = (dz * e, by_shift, by_scale) if k == last else (dz * e, by_scale, by_shift)
+            if k == 0:
+                for term in terms:
+                    x._accumulate(term)
+            else:
+                dz = sum(terms)[:, ::-1].copy()  # back to the previous layer's coordinate order
+        if cond.requires_grad:
+            _add_products(cond, [shift_terms[0], *scale_terms[1:], *shift_terms[:0:-1], scale_terms[0]])
+
+    node = Tensor._make(out, (x, cond) + params, backward) if taping else Tensor._make(out, (), None)
+    return node[0] if single else node
+
+
+def _add_products(tensor, terms):
+    """Add ``f @ v^T`` for each (f, v) of ``terms`` into ``tensor``'s gradient in turn, a chunk of
+    rows at a time, so that no product is ever whole. Each element sums the same terms in the same
+    order; chunks of ``_CHUNK_ROWS`` rows or more gave the whole product's bits wherever checked
+    (a few rows at a time may not: OpenBLAS runs other kernels on small products)."""
+    rows = tensor.shape[0]
+    if tensor.grad is None:
+        tensor.grad = np.zeros(tensor.shape)
+    n_chunks = max(1, rows // _CHUNK_ROWS)
+    edges = [rows * i // n_chunks for i in range(n_chunks + 1)]
+    scratch = np.empty((-(-rows // n_chunks), tensor.shape[1]))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for f, v in terms:
+            tensor.grad[lo:hi] += np.matmul(f[lo:hi], _swap(v), out=scratch[: hi - lo])
+
+
+def _swap(m):
+    return m.swapaxes(-1, -2)
 
 
 def batch_log_likelihood(x_rows, cond_rows, model):

@@ -163,9 +163,8 @@ def _forward(model, windows, dropout_rng=None):
     """Adjacency, node embeddings and flow rows (inputs, conditions) of a window batch.
 
     Attention dropout runs exactly when ``dropout_rng`` is given. The flow
-    gets one row per (window, channel). Both row sets are Tensors that a
-    tape holds anyway; without a tape the caller drops them once it has the
-    likelihood, as the conditions are a copy of the embeddings.
+    gets one row per (window, channel). The conditions are a (B*N, T*d) view
+    of the embeddings, a node that hands its gradient to them reshaped.
     """
     windows = np.asarray(windows, dtype=np.float64)
     feats = np.swapaxes(windows, 1, 2).copy()  # (B, N, T)
@@ -173,7 +172,8 @@ def _forward(model, windows, dropout_rng=None):
     adjacency = attention_adjacency(feats, model.attention, dropout=dropout, rng=dropout_rng)
     embeddings = encode_batch(windows, adjacency, model.encoder_params)
     rows = feats.shape[0] * feats.shape[1]
-    return adjacency, embeddings, (ad.Tensor(feats.reshape(rows, -1)), ad.reshape(embeddings, (rows, -1)))
+    conditions = ad.node(embeddings.data.reshape(rows, -1), (embeddings, lambda g: g.reshape(embeddings.shape)))
+    return adjacency, embeddings, (ad.Tensor(feats.reshape(rows, -1)), conditions)
 
 
 def _train_step(model, optimizer, batch, dropout_rng, where):
@@ -343,7 +343,6 @@ def _score_windows(model, windows):
                 out = take[borrow:]
                 adj, emb, rows = _forward(model, windows[take])
                 ll = log_prob(*rows, model.flow).data.reshape(len(take), -1)
-                del rows  # a copy of the embeddings, not needed by the alignment
                 adjacency[out], nll[out] = adj.data[borrow:], -ll.mean(axis=1)[borrow:]
                 if terms:
                     align = batch_alignment(emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms)

@@ -311,9 +311,10 @@ def test_taped_backward_holds_a_few_arrays_per_step():
 
 
 def test_backward_holds_no_per_step_gradient_slab():
-    """The cell's pass rebuilds d loss / d h_t step by step from the readout's ReLU masks, so at
-    the paper's window the backward allocates less than one (T, B*N, h) float64 slab: the masks
-    (an eighth of one), the step-major gradient and a few dozen (B*N, h) buffers."""
+    """The cell's pass rebuilds d loss / d h_t step by step from the readout's ReLU masks, and each
+    step's gradient is read as a view of the incoming one, so at the paper's window the backward
+    allocates under three quarters of one (T, B*N, h) float64 slab: the masks (an eighth of one)
+    and a few dozen (B*N, h) buffers (a step-major copy of the gradient would add a quarter)."""
     n_batch, n_steps, n_chan, hidden = 32, 80, 8, 32
     params = init_encoder(hidden, 8, np.random.default_rng(32))
     windows = np.random.default_rng(33).normal(size=(n_batch, n_steps, n_chan))
@@ -328,4 +329,4 @@ def test_backward_holds_no_per_step_gradient_slab():
     finally:
         tracemalloc.stop()
     slab = n_steps * n_batch * n_chan * hidden * 8
-    assert peak < slab, peak / slab
+    assert peak < 0.75 * slab, peak / slab

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,8 @@ from tsgad.autodiff import Tensor
 from tsgad.checks import gradient_check
 from tsgad.encoder import encode_batch, init_encoder
 from tsgad.flow import (
+    LOG_TWO_PI,
+    SCALE_BOUND,
     batch_log_likelihood,
     forward,
     gaussian_log_density,
@@ -21,6 +24,69 @@ from tsgad.flow import (
 def _random_flow(input_dim, cond_dim, seed=0, n_layers=2, scale=0.3):
     return init_flow(input_dim, cond_dim, n_layers=n_layers,
                      rng=np.random.default_rng(seed), scale=scale)
+
+
+def _reference_log_prob(x, cond, model):
+    """The flow's per-row log-density as a tape of one node per op, the composition ``log_prob``'s
+    one node stands for: its values and gradients are what that node must give, bit for bit."""
+    x, cond = ad.as_tensor(x), ad.as_tensor(cond)
+    z, log_det = x, Tensor(np.zeros(x.shape[0]))
+    for k, layer in enumerate(model.layers):
+        if k > 0:
+            z = ad.flip_last(z)
+        masked_ws = layer.w_scale * Tensor(layer.mask)
+        masked_wm = layer.w_shift * Tensor(layer.mask)
+        raw_s = ad.matmul(z, masked_ws) + ad.matmul(cond, layer.v_scale) + layer.b_scale
+        s = ad.tanh(raw_s * (1.0 / SCALE_BOUND)) * SCALE_BOUND
+        m = ad.matmul(z, masked_wm) + ad.matmul(cond, layer.v_shift) + layer.b_shift
+        z = ad.exp(s) * z + m
+        log_det = log_det + ad.sum_(s, axis=1)
+    gauss = ad.sum_(z * z, axis=1) * -0.5 - 0.5 * model.input_dim * LOG_TWO_PI
+    return gauss + log_det
+
+
+@pytest.mark.parametrize("earlier_consumer", [False, True])
+@pytest.mark.parametrize("n_layers, rows", [(1, 24), (2, 24), (3, 24), (2, 2100)])
+def test_log_prob_bit_identical_to_tape_composition(n_layers, rows, earlier_consumer):
+    """Value and every gradient (x, cond and each layer's six parameters) equal the per-op tape's,
+    also when the conditions' gradient is added in row chunks (2,100 rows). With
+    ``earlier_consumer`` the loss also reads x and cond, and that term's gradient reaches them
+    before the flow's, so the flow's terms add into gradients that are already there."""
+    rng = np.random.default_rng(30 + n_layers)
+    x_data, cond_data, weights = (rng.normal(size=(rows, dim)) for dim in (5, 7, 7))
+    results = []
+    for density in (log_prob, _reference_log_prob):
+        model = _random_flow(5, 7, seed=n_layers, n_layers=n_layers)
+        x, cond = Tensor(x_data, requires_grad=True), Tensor(cond_data, requires_grad=True)
+        ll = density(x, cond, model)
+        loss = -ad.mean_(ll)
+        if earlier_consumer:
+            loss = ad.sum_(cond * Tensor(weights)) + ad.sum_(x * x) + loss
+        ad.backward(loss)
+        results.append([ll.data, x.grad, cond.grad] + [t.grad for t in model.tensors().values()])
+    assert len(results[0]) == 3 + 6 * n_layers
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_taped_log_prob_holds_three_row_arrays_a_layer(n_layers):
+    """With the tape on, log_prob holds at most 3 (rows, T) arrays a layer (the layer's input,
+    tanh(raw_s / 5) and exp(s), with the last layer's output standing in for the first
+    layer's input, which the caller holds) and O(rows) more: no copy of the conditions."""
+    rows, dim, cond_dim = 2048, 16, 64
+    rng = np.random.default_rng(50)
+    model = _random_flow(dim, cond_dim, n_layers=n_layers)
+    x, cond = Tensor(rng.normal(size=(rows, dim))), Tensor(rng.normal(size=(rows, cond_dim)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ll = log_prob(x, cond, model)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ll.requires_grad
+    assert held <= (3 * n_layers * rows * dim + 4 * rows) * 8 + 65536, held
 
 
 def test_identity_init_matches_gaussian_closed_form():
@@ -173,8 +239,11 @@ def test_flow_tape_is_freed_before_the_encoder_backward():
     emb = encode_batch(windows, adjacency, init_encoder(8, 2, rng))
     rows = n_batch * n_chan
     x = Tensor(windows.transpose(0, 2, 1).reshape(rows, n_steps))
-    loss = -batch_log_likelihood(x, ad.reshape(emb, (rows, -1)), _random_flow(n_steps, 2 * n_steps))
+    ll = log_prob(x, ad.reshape(emb, (rows, -1)), _random_flow(n_steps, 2 * n_steps))
+    loss = -ad.mean_(ll)
     tape = [weakref.ref(t) for t in ad._topo_order(loss) if t._backward is not None and t not in (loss, emb)]
+    assert any(ref() is ll for ref in tape)  # the flow's node
+    del ll
     alive = []
     encoder_backward = emb._backward
 
@@ -184,5 +253,5 @@ def test_flow_tape_is_freed_before_the_encoder_backward():
 
     emb._backward = record
     ad.backward(loss)
-    assert len(tape) > 30 and alive == [0], (len(tape), alive)
+    assert alive == [0], (len(tape), alive)
     assert adjacency.grad is not None and loss._backward is None and emb._backward is None

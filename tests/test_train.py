@@ -10,7 +10,7 @@ from tsgad.align import batch_alignment
 from tsgad.autodiff import Tensor
 from tsgad.dataio import SeriesDataset, split_normalize, synth_generate, window_table
 from tsgad.errors import CheckpointError, ConfigError, DivergenceError, MetricUndefinedError
-from tsgad.flow import batch_log_likelihood
+from tsgad.flow import batch_log_likelihood, log_prob
 from tsgad.train import (
     ABLATIONS,
     Adam,
@@ -187,6 +187,35 @@ def test_loss_decomposition_across_ablations():
     assert first_losses["no_wd"] == pytest.approx(gwd_term - lf, abs=1e-8)
     assert first_losses["no_gwd"] == pytest.approx(wd_term - lf, abs=1e-8)
     assert first_losses["no_ga"] == pytest.approx(-lf, abs=1e-8)
+
+
+def test_flow_conditions_are_a_view_of_the_embeddings():
+    """The flow's conditions share the embeddings' memory; the taped likelihood equals the no-tape
+    one, and the encoder's gradients through the view equal those through a reshaped copy."""
+    train_ds, _ = _tiny_training_pair()
+    cfg = TrainConfig(**DESK)
+    model = build_model(cfg)
+    rng = np.random.default_rng(9)
+    for tensor in model.flow.tensors().values():
+        tensor.data[...] = rng.normal(0.0, 0.1, size=tensor.shape)
+    batch = window_table(train_ds, cfg.window, cfg.stride)[0][: cfg.batch_size]
+    with ad.no_grad():
+        plain = log_prob(*_forward(model, batch)[2], model.flow)
+    grads = []
+    for view in (True, False):
+        _, embeddings, (inputs, conditions) = _forward(model, batch)
+        assert np.shares_memory(conditions.data, embeddings.data) and conditions.shape[0] == inputs.shape[0]
+        if not view:
+            conditions = ad.reshape(embeddings, conditions.shape)
+        taped = log_prob(inputs, conditions, model.flow)
+        np.testing.assert_array_equal(taped.data, plain.data)
+        params = model.encoder_params.tensors().values()
+        for tensor in params:
+            tensor.grad = None
+        ad.backward(ad.mean_(taped))
+        grads.append([tensor.grad for tensor in params])
+    for got, want in zip(*grads):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_training_deterministic_given_seed():
