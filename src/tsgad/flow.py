@@ -196,14 +196,14 @@ def log_prob(x, cond, model):
             shift_terms.append((dz, layer.v_shift.data))
             for w, v, b, d in ((layer.w_scale, layer.v_scale, layer.b_scale, d_raw),
                                (layer.w_shift, layer.v_shift, layer.b_shift, dz)):
-                by_sum, by_cond, by_u = d.sum(axis=0, keepdims=True), _swap(cond.data) @ d, _swap(u) @ d
+                by_sum, by_cond, by_u = d.sum(axis=0, keepdims=True), cond.data.T @ d, u.T @ d
                 for param, g in ((b, by_sum), (v, by_cond), (w, by_u * layer.mask)):
                     if param.requires_grad:
                         param._accumulate(g)
             if k == 0 and not x.requires_grad:
                 break
             w_scale, w_shift = layer.masked()
-            by_scale, by_shift = np.matmul(d_raw, _swap(w_scale)), np.matmul(dz, _swap(w_shift))
+            by_scale, by_shift = np.matmul(d_raw, w_scale.T), np.matmul(dz, w_shift.T)
             terms = (dz * e, by_shift, by_scale) if k == last else (dz * e, by_scale, by_shift)
             if k == 0:
                 for term in terms:
@@ -230,11 +230,7 @@ def _add_products(tensor, terms):
     scratch = np.empty((-(-rows // n_chunks), tensor.shape[1]))
     for lo, hi in zip(edges[:-1], edges[1:]):
         for f, v in terms:
-            tensor.grad[lo:hi] += np.matmul(f[lo:hi], _swap(v), out=scratch[: hi - lo])
-
-
-def _swap(m):
-    return m.swapaxes(-1, -2)
+            tensor.grad[lo:hi] += np.matmul(f[lo:hi], v.T, out=scratch[: hi - lo])
 
 
 def batch_log_likelihood(x_rows, cond_rows, model):
