@@ -11,7 +11,11 @@ steps, far fewer than a full-scale run; the full-scale defaults stay at
 the published values).
 """
 
+import hashlib
+import json
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,24 @@ def _run_detection(seed, ablation):
     return result, report
 
 
+# a small factorized-route run: N = 23 (n^2 m^2 > 250k), and B N^4 > 2e6 with batches
+# of 20 windows, so each batch is cut into active-set stacks of 19 and 1 run on threads
+FACTORIZED = {
+    "channels": 23,
+    "length": 400,
+    "anomalies": [("interdependency_shift", 300, 340), ("spike", 360, 380)],
+    "config": dict(window=8, stride=8, batch_size=20, epochs=1, learning_rate=0.01, encoder_out_scale=8.0),
+}
+
+
+def _run_factorized():
+    data = synth_generate(FACTORIZED["channels"], FACTORIZED["length"], FACTORIZED["anomalies"], seed=7,
+                          noise=DESK["noise"])
+    train_ds, test_ds = split_normalize(data, 0.6)
+    result = train(train_ds, TrainConfig(seed=7, **FACTORIZED["config"]))
+    return result, score(test_ds, result.checkpoint)
+
+
 @pytest.fixture(scope="module")
 def detection_runs():
     t0 = time.time()
@@ -206,6 +228,67 @@ def test_criterion_7_interdependency_shift_visibility(detection_runs):
     )
 
 
+GOLDEN = Path(__file__).with_name("golden.json")
+GOLDEN_ARRAYS = ("scores", "d_ga", "nll", "adjacency")
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _fingerprint():
+    """The numpy version, the BLAS, and the CPU model and vector extensions (which pick BLAS kernels)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = {}
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                cpu.setdefault(key.strip(), value.strip())
+    except OSError:
+        pass
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu": cpu.get("model name") or platform.processor(),
+            "simd": sorted(set(cpu.get("flags", "").split()) & {"sse4_2", "avx", "avx2", "fma", "avx512f"})}
+
+
+def _golden_record(result, report):
+    """sha256 of a run's checkpoint JSON, loss curve and scored arrays, plus its scores."""
+    digests = {"checkpoint": _sha256(json.dumps(result.checkpoint, sort_keys=True).encode()),
+               "loss_curve": _sha256(json.dumps(result.loss_curve).encode())}
+    digests |= {name: _sha256(np.ascontiguousarray(getattr(report, name), dtype="<f8").tobytes())
+                for name in GOLDEN_ARRAYS}
+    return {"sha256": digests, "scores": report.scores.tolist()}
+
+
+def _golden_runs(detection_runs):
+    runs = {f"{ablation}/{seed}": detection_runs[(ablation, seed)]
+            for ablation in ("full", "no_wd", "no_gwd", "no_ga") for seed in DESK["seeds"]}
+    runs["factorized/7"] = _run_factorized()
+    return runs
+
+
+def test_outputs_match_golden(detection_runs):
+    """Every criterion-6 run and a factorized threaded run reproduce their recorded bits.
+
+    On the numpy, BLAS and CPU ``golden.json`` was recorded with, every hash
+    must match; elsewhere rounding may differ, so the scores must agree to
+    1e-9 relative. ``PYTHONPATH=src python tests/test_acceptance.py`` rewrites the file.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    same_platform = golden["fingerprint"] == _fingerprint()
+    runs = _golden_runs(detection_runs)
+    assert sorted(runs) == sorted(golden["runs"])
+    for name, run in runs.items():
+        got, want = _golden_record(*run), golden["runs"][name]
+        if same_platform:
+            assert got["sha256"] == want["sha256"], name
+        else:
+            np.testing.assert_allclose(got["scores"], want["scores"], rtol=1e-9, atol=0.0, err_msg=name)
+    _announce("golden", True, f"{len(runs)} runs {'bit-identical' if same_platform else 'within 1e-9'} "
+                              f"to {GOLDEN.name}")
+
+
 def test_criterion_8_threshold_and_auc_units():
     q1, q3 = quartiles([1, 2, 3, 4, 5, 6, 7, 8])
     threshold = iqr_threshold([1, 2, 3, 4, 5, 6, 7, 8])
@@ -248,3 +331,10 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         outputs[0] == outputs[1],
         f"two identical-seed pipeline runs produced byte-identical score CSVs ({len(outputs[0])} bytes)",
     )
+
+
+if __name__ == "__main__":
+    runs = {(ablation, seed): _run_detection(seed, ablation)
+            for ablation in ("full", "no_wd", "no_gwd", "no_ga") for seed in DESK["seeds"]}
+    records = {name: _golden_record(*run) for name, run in _golden_runs(runs).items()}
+    GOLDEN.write_text(json.dumps({"fingerprint": _fingerprint(), "runs": records}, indent=1) + "\n")
