@@ -21,13 +21,13 @@ one fixed plan. ``batch_alignment`` solves its windows as one
 lockstep stack while the stacked problem is small (B N^4 <= 2e6). Otherwise
 it cuts the windows into active-set stacks of the most windows whose GW
 pseudo-cost tables hold ``_DENSE_QUARTET_LIMIT`` entries, and solves the
-stacks on a thread pool with one thread per CPU the process may use; the
-results do not depend on the number of threads.
+stacks on the calling thread and one more per other CPU the process may
+use; the results do not depend on the number of threads.
 The GW pseudo-cost's plan-independent parts are built once per solve and
-reused by every outer step: the dense difference tensor for small problems,
-and for large ones the sort and search tables of the factorized prefix-sum
-kernel, which then handles the whole stack and all target rows of a chunk in
-a few numpy calls.
+reused by every outer step, on the route ``_dense`` picks: each problem's
+difference tensor as an (n m, n m) matrix, one batched ``matmul`` a step, or
+the sort and search tables of the factorized prefix-sum kernel, which then
+handles the whole stack and all target rows of a chunk in a few numpy calls.
 
 Brute-force enumeration oracles (permutation couplings) live alongside the
 solvers so every solver result can be cross-checked on small instances, and
@@ -46,6 +46,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -180,8 +181,7 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
         g = np.zeros((k, m))
     plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
     met = np.zeros(k, dtype=bool)  # the problems that met their rule
-    ran = np.zeros(k, dtype=int)  # active set: the iterations each problem ran
-    iterations = 0
+    ran = np.zeros(k, dtype=int)  # the iterations each problem ran
     for iterations in range(1, max_iter + 1):
         last = f, g
         f = loga - _logsumexp(g[:, None, :] - scaled, axis=2)
@@ -191,21 +191,22 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
             g = np.where(met[:, None], last[1], g)
         plans = np.exp(f[:, :, None] + g[:, None, :] - scaled)
         errors = _marginal_errors(plans, u, v)
-        if active_set:
-            ran[~met] = iterations
-            met = errors < tol  # a frozen problem's plan and error repeat, bit for bit
-            if met.all():
-                break
-        elif errors.max() < tol:
-            met[:] = True
+        ran[~met] = iterations  # in lockstep no problem has met its rule before the stack stops
+        # a frozen problem's plan and error repeat, bit for bit; a lockstep stack meets its rule as one
+        met = errors < tol if active_set else np.full(k, errors.max() < tol)
+        if met.all():
             break
     plans = _round_to_marginals(plans, u, v)
-    return _Stack(plans, np.einsum("kij,kij->k", plans, costs), _marginal_errors(plans, u, v),
-                  ran if active_set else np.full(k, iterations), met, (f, g))
+    return _Stack(plans, np.einsum("kij,kij->k", plans, costs), _marginal_errors(plans, u, v), ran, met, (f, g))
 
 
 _DENSE_QUARTET_LIMIT = 250_000  # entries of one stack's pseudo-cost tables
 _OBJ_TOL = 1e-9  # relative objective gain below which a GW outer step counts as stalled
+
+
+def _dense(n, m):
+    """Whether (n, n) vs (m, m) GW problems take the dense route: n^2 m^2 quartet entries within the limit."""
+    return n * n * m * m <= _DENSE_QUARTET_LIMIT
 
 
 def _search_positions(a_s, sorted_vals):
@@ -286,34 +287,28 @@ def _factorized_pseudo_costs(tables, plans):
     return pseudo
 
 
-class _QuartetCosts:
-    """Pseudo-cost maps of stacked adjacencies (K, n, n) and (K, m, m).
+def _dense_pseudo_costs(table, plans):
+    """Each problem's (n m, n m) ``table`` times its flattened plan in one batched ``matmul``: the call
+    numpy's path-optimized ``einsum`` makes of the contraction, on the same operands, so the same bits."""
+    return np.matmul(table, plans.reshape(len(plans), -1, 1)).reshape(plans.shape)
+
+
+def _quartet_maps(adj_s, adj_t):
+    """The pseudo-cost maps ``(forward, backward)`` of stacked adjacencies (K, n, n) and (K, m, m).
 
     ``forward(plans)[k, i, j] = sum_ab plans[k, a, b] |A_s[k, i, a] - A_t[k, j, b]|``
-    and ``backward`` is the same for the transposed adjacencies. Everything
-    that does not depend on the plans is built once here, so that every
-    outer GW step reuses it: the dense maps contract the difference tensor,
-    the factorized maps read prefix sums through the sort and search tables.
-    Problems frozen in an active-set stack stay in the tables.
+    and ``backward`` is the same for the transposed adjacencies; both return
+    C-ordered stacks. What does not depend on the plans is built once, on the
+    route ``_dense`` picks, and every outer GW step reuses it. Problems frozen
+    in an active-set stack stay in the tables.
     """
-
-    def __init__(self, adj_s, adj_t, dense):
-        self.dense = dense
-        if dense:
-            self.tables = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
-        else:
-            pairs = [(adj_s, adj_t), (adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1))]
-            self.tables = [_factorized_tables(s, t) for s, t in pairs]
-
-    def forward(self, plans):
-        if self.dense:
-            return np.einsum("kab,kijab->kij", plans, self.tables, optimize=True)
-        return _factorized_pseudo_costs(self.tables[0], plans)
-
-    def backward(self, plans):
-        if self.dense:
-            return np.einsum("kab,kabij->kij", plans, self.tables, optimize=True)
-        return _factorized_pseudo_costs(self.tables[1], plans)
+    k, n, m = adj_s.shape[0], adj_s.shape[1], adj_t.shape[1]
+    if _dense(n, m):
+        diffs = np.abs(adj_s[:, :, None, :, None] - adj_t[:, None, :, None, :])  # (k, i, j, a, b)
+        tables = diffs.reshape(k, n * m, n * m), diffs.transpose(0, 3, 4, 1, 2).reshape(k, n * m, n * m)
+        return [partial(_dense_pseudo_costs, t) for t in tables]
+    pairs = (adj_s, adj_t), (adj_s.transpose(0, 2, 1), adj_t.transpose(0, 2, 1))
+    return [partial(_factorized_pseudo_costs, _factorized_tables(*pair)) for pair in pairs]
 
 
 def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol, active_set=False):
@@ -330,25 +325,24 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
     """
     k, n = adj_s.shape[:2]
     m = adj_t.shape[1]
-    quartet = _QuartetCosts(adj_s, adj_t, n * n * m * m <= _DENSE_QUARTET_LIMIT)
+    forward, backward = _quartet_maps(adj_s, adj_t)
     plans = np.broadcast_to(np.outer(u, v), (k, n, m)).copy()
-    pseudo = quartet.forward(plans)
+    pseudo = forward(plans)
     best_plans = plans.copy()
     best_objs = np.einsum("kij,kij->k", plans, pseudo)
     best_errs = np.zeros(k)
     stalled = np.zeros(k, dtype=int)
     met = np.zeros(k, dtype=bool)  # the problems that met their rule
-    ran = np.zeros(k, dtype=int)  # active set: the outer steps each problem ran
+    ran = np.zeros(k, dtype=int)  # the outer steps each problem ran
     duals = None
-    iterations = 0
     for iterations in range(1, outer_iter + 1):
-        direction = 0.5 * (pseudo + quartet.backward(plans))
+        direction = 0.5 * (pseudo + backward(plans))
         step = _sinkhorn(direction, u, v, beta, sink_iter, sink_tol, duals, active_set)
         moved = np.abs(step.plans - plans)
         # a frozen problem keeps its plan, so its pseudo-cost and objective repeat
         plans = np.where(met[:, None, None], plans, step.plans) if active_set else step.plans
         duals = step.duals
-        pseudo = quartet.forward(plans)
+        pseudo = forward(plans)
         objs = np.einsum("kij,kij->k", plans, pseudo)
         improved = objs < best_objs - _OBJ_TOL * np.maximum(1.0, np.abs(best_objs))
         take = (objs <= best_objs) & ~met  # a frozen problem's inner solve still moves its error
@@ -356,15 +350,14 @@ def _entropic_gwd(adj_s, adj_t, u, v, beta, outer_iter, tol, sink_iter, sink_tol
         best_errs[take] = step.errors[take]
         best_objs = np.minimum(best_objs, objs)
         stalled = np.where(improved, 0, stalled + 1)
+        ran[~met] = iterations  # in lockstep no problem has met its rule before the stack stops
         if active_set:
-            ran[~met] = iterations
             met = met | (moved.max(axis=(1, 2)) < tol) | (stalled >= 3)
-            if met.all():
-                break
-        elif moved.max() < tol or stalled.min() >= 3:
-            met[:] = True
+        else:  # a lockstep stack meets its rule as one
+            met = np.full(k, moved.max() < tol or stalled.min() >= 3)
+        if met.all():
             break
-    return _Stack(best_plans, best_objs, best_errs, ran if active_set else np.full(k, iterations), met)
+    return _Stack(best_plans, best_objs, best_errs, ran, met)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +562,7 @@ def _wd_pulls(xs, xt, plans, dist):
 def _sign_quartet_grads(a_s, a_t, plan):
     """Exact gradients of the quartet objective w.r.t. both adjacencies."""
     n, m = a_s.shape[0], a_t.shape[0]
-    if n * n * m * m <= _DENSE_QUARTET_LIMIT:
+    if _dense(n, m):
         signs = np.sign(a_s[:, None, :, None] - a_t[None, :, None, :])  # (i, j, a, b)
         grad_s = np.einsum("ij,ab,ijab->ia", plan, plan, signs)
         grad_t = -np.einsum("ij,ab,ijab->jb", plan, plan, signs)
@@ -596,11 +589,13 @@ def _worker_count():
 def _in_threads(fn, tasks):
     """``[fn(t) for t in tasks]`` on the calling thread and one more thread per other CPU (one
     glibc malloc arena fewer than a pool of a thread per CPU), each taking the next task from one
-    shared iterator; the first error raised reaches the caller, and no task starts after it."""
+    shared iterator under the caller's numpy error state; the first error raised reaches the
+    caller, and no task starts after it."""
     workers = min(_worker_count(), len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
     results, errors, pending, lock = [None] * len(tasks), [], enumerate(tasks), threading.Lock()
+    state = np.geterr()  # a new thread starts from numpy's default error state
 
     def work():
         while True:
@@ -609,7 +604,8 @@ def _in_threads(fn, tasks):
             if i is None:
                 return
             try:
-                results[i] = fn(task)
+                with np.errstate(**state):
+                    results[i] = fn(task)
             except BaseException as exc:  # raised again on the calling thread
                 errors.append(exc)
 
@@ -684,7 +680,7 @@ def batch_alignment(
     # windows, each stopping by its own rule, run on threads, as many windows to
     # a stack as keep its GW pseudo-cost tables within the limit
     lockstep = batch * n**4 <= 2_000_000
-    per_window = n**4 if n**4 <= _DENSE_QUARTET_LIMIT else n * n * (n + 1)
+    per_window = n**4 if _dense(n, n) else n * n * (n + 1)
     size = batch if lockstep else max(1, _DENSE_QUARTET_LIMIT // per_window)
     stacks = [slice(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
 

@@ -119,7 +119,8 @@ def encode_batch(windows, adjacency, params):
         return Tensor._make(out, (), None)
     x_cols = x_steps.reshape(n_steps, rows, 1)
     _, w_hidden, _, w_mix, w_history, w_project = w
-    wt_hidden, wt_mix, wt_history, wt_project, a_t = (_swap(m) for m in (w_hidden, w_mix, w_history, w_project, a))
+    wt_hidden, wt_mix, wt_history, wt_project = w_hidden.T, w_mix.T, w_history.T, w_project.T
+    a_t = a.swapaxes(-1, -2)
 
     def accumulate(tensor, grad):
         if tensor.requires_grad:
@@ -141,12 +142,13 @@ def encode_batch(windows, adjacency, params):
         for t, g_out in enumerate(g_steps):
             h_prev3, h_now3 = hs[t : t + 2].reshape(2, n_batch, n_chan, h)
             _readout_input(a, h_now3, h_prev3, w_mix, w_history, mixed_in, relu_in, scratch)
-            accumulate(params.w_project, np.matmul(_swap(np.maximum(relu_in, 0.0, out=scratch)), g_out).sum(axis=0))
+            relu_out = np.maximum(relu_in, 0.0, out=scratch)
+            accumulate(params.w_project, np.matmul(relu_out.swapaxes(-1, -2), g_out).sum(axis=0))
             np.greater(relu_in, 0.0, out=masks[t])
             relu_grads(t, g_relu)
-            accumulate(params.w_mix, np.matmul(_swap(mixed_in), g_relu).sum(axis=0))
-            accumulate(adjacency, np.matmul(g_mixed_in, _swap(h_now3)))
-            accumulate(params.w_history, np.matmul(_swap(h_prev3), g_relu).sum(axis=0))
+            accumulate(params.w_mix, np.matmul(mixed_in.swapaxes(-1, -2), g_relu).sum(axis=0))
+            accumulate(adjacency, np.matmul(g_mixed_in, h_now3.swapaxes(-1, -2)))
+            accumulate(params.w_history, np.matmul(h_prev3.swapaxes(-1, -2), g_relu).sum(axis=0))
         # the readout's buffers serve the cell's pass: d loss / d h_t, and g_relu at t and t + 1
         d_hidden, g_relu_next = mixed_in, relu_in
         # per block size: a cell, then tanh(c_t), d_c, a factor, 1 - the sigmoid gates, d_pre's quarters
@@ -184,8 +186,8 @@ def encode_batch(windows, adjacency, params):
                 _restack(d_quarters, d_pre[r])
                 np.multiply(d_c, gate_forget, out=d_c_next[r])
             accumulate(params.bias, d_pre.sum(axis=0, keepdims=True))
-            accumulate(params.w_input, np.matmul(_swap(x_cols[t]), d_pre))
-            accumulate(params.w_hidden, np.matmul(_swap(hs[t]), d_pre))
+            accumulate(params.w_input, np.matmul(x_cols[t].T, d_pre))
+            accumulate(params.w_hidden, np.matmul(hs[t].T, d_pre))
             np.matmul(d_pre, wt_hidden, out=d_h_next)
 
     return Tensor._make(out, (adjacency,) + weights, backward)
@@ -255,7 +257,3 @@ def _readout_input(a, h_now, h_prev, w_mix, w_history, mixed, relu_in, history):
     np.matmul(mixed, w_mix, out=relu_in)
     np.matmul(h_prev.reshape(mixed.shape), w_history, out=history)
     np.add(relu_in, history, out=relu_in)
-
-
-def _swap(m):
-    return m.swapaxes(-1, -2)

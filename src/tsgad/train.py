@@ -319,7 +319,8 @@ def _score_windows(model, windows):
     alignment batch runs the model's forward without dropout or tape; a
     window's adjacency and NLL then do not depend on its batchmates, so
     every pass writes the same values, and the adjacency is the graph the
-    window was scored with. A non-finite score raises FloatingPointError.
+    window was scored with. A non-finite score raises FloatingPointError
+    (numpy's floating-point warnings are off: the checks report instead).
     """
     cfg = model.config
     batch_size = cfg.batch_size
@@ -333,7 +334,7 @@ def _score_windows(model, windows):
     adjacency, nll = np.empty((n_total,) + windows.shape[2:] * 2), np.empty(n_total)
     wd, gwd = np.zeros(n_total), np.zeros(n_total)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
-    with ad.no_grad():
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(SCORE_PASSES if terms else 1):
             order = rng.permutation(n_total)
             for lo in range(0, n_total, batch_size):
@@ -348,8 +349,8 @@ def _score_windows(model, windows):
                     align = batch_alignment(emb, adj, lam=cfg.lam, beta=cfg.beta, terms=terms)
                     wd[out] += align.wd[borrow:] / SCORE_PASSES
                     gwd[out] += align.gwd[borrow:] / SCORE_PASSES
-    d_ga = wd + gwd
-    scores = d_ga + nll
+        d_ga = wd + gwd
+        scores = d_ga + nll
     bad = int((~np.isfinite(scores)).sum())
     if bad:
         raise FloatingPointError(f"{bad} of {n_total} windows scored non-finite")

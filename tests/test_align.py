@@ -9,9 +9,10 @@ import pytest
 from tsgad import align
 from tsgad import autodiff as ad
 from tsgad.align import (
+    _dense,
     _entropic_gwd,
     _marginal_errors,
-    _QuartetCosts,
+    _quartet_maps,
     _sinkhorn,
     alignment_equivalence_check,
     batch_alignment,
@@ -164,7 +165,7 @@ def test_gwd_factorized_equals_naive():
         assert abs(obj_f - obj_n) < 1e-10
         np.testing.assert_allclose(pseudo_f, pseudo_n, atol=1e-10)
         # the dense map the GW solver uses for small problems
-        dense = _QuartetCosts(a_s[None], a_t[None], dense=True).forward(plan[None])[0]
+        dense = _quartet_maps(a_s[None], a_t[None])[0](plan[None])[0]
         np.testing.assert_allclose(dense, pseudo_n, atol=1e-10)
 
 
@@ -190,11 +191,11 @@ def test_entropic_gwd_factorized_stack_equals_single_solves():
     a_s, a_t = rng.random((3, n, n)), rng.random((3, n, n))
     u = uniform_weights(n)
     plans = rng.random((3, n, n))
-    stacked = _QuartetCosts(a_s, a_t, dense=False)
+    stacked = _quartet_maps(a_s, a_t)
     for k in range(3):
-        single = _QuartetCosts(a_s[k : k + 1], a_t[k : k + 1], dense=False)
-        np.testing.assert_array_equal(stacked.forward(plans)[k], single.forward(plans[k : k + 1])[0])
-        np.testing.assert_array_equal(stacked.backward(plans)[k], single.backward(plans[k : k + 1])[0])
+        single = _quartet_maps(a_s[k : k + 1], a_t[k : k + 1])
+        for stacked_map, single_map in zip(stacked, single):
+            np.testing.assert_array_equal(stacked_map(plans)[k], single_map(plans[k : k + 1])[0])
     # with both stopping rules off (tol = 0, fewer than 3 outer steps, fixed Sinkhorn
     # iterations) every problem takes the same steps alone as in the stack
     args = (u, u, 0.05, 2, 0.0, 30, 0.0)
@@ -204,6 +205,60 @@ def test_entropic_gwd_factorized_stack_equals_single_solves():
         np.testing.assert_array_equal(stack.plans[k], single.plans[0])
         assert stack.objectives[k] == single.objectives[0]
         assert stack.errors[k] == single.errors[0]
+
+
+def test_quartet_route_rule():
+    # N = 22 is the largest square size whose n^2 m^2 stays within the dense limit
+    assert _dense(22, 22) and not _dense(23, 23)
+    assert _dense(2, 7) and not _dense(21, 27)
+
+
+@pytest.mark.parametrize("k, n, m", [(1, 5, 5), (16, 5, 5), (1, 3, 7), (4, 7, 3), (3, 1, 4), (2, 15, 12)])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "source transposed"])
+def test_dense_quartet_maps_equal_the_path_optimized_einsum(k, n, m, layout):
+    # the dense maps are the matmul np.einsum(..., optimize=True) makes, bit for bit,
+    # on any adjacency layout (a transposed view changes which operands it builds)
+    rng = np.random.default_rng(k * 100 + n * 10 + m)
+    a_s, a_t = rng.random((k, n, n)), rng.random((k, m, m))
+    if layout != "contiguous":
+        a_s = a_s.transpose(0, 2, 1)
+    if layout == "transposed":
+        a_t = a_t.transpose(0, 2, 1)
+    plans = rng.random((k, n, m))
+    diffs = np.abs(a_s[:, :, None, :, None] - a_t[:, None, :, None, :])
+    forward, backward = (apply(plans) for apply in _quartet_maps(a_s, a_t))
+    np.testing.assert_array_equal(forward, np.einsum("kab,kijab->kij", plans, diffs, optimize=True))
+    np.testing.assert_array_equal(backward, np.einsum("kab,kabij->kij", plans, diffs, optimize=True))
+    # C-ordered, as on the factorized route: the order of later sums depends on the layout
+    assert forward.flags.c_contiguous and backward.flags.c_contiguous
+
+
+def _counted(calls, name, fn):
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counting
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 5, 200])
+def test_lockstep_stack_records_the_loop_count_for_every_problem(monkeypatch, max_iter):
+    # in lockstep every problem reports as many iterations as the stack's loop ran, a cap of 0 included
+    costs, adj_s, adj_t = _varied_problems(np.random.default_rng(max_iter), 5, 5, 6)
+    u = uniform_weights(5)
+    calls = collections.Counter()
+    monkeypatch.setattr(align, "_logsumexp", _counted(calls, "sinkhorn", align._logsumexp))  # twice a step
+    wd = _sinkhorn(costs, u, u, 0.05, max_iter, 1e-7)
+    np.testing.assert_array_equal(wd.iterations, np.full(6, calls["sinkhorn"] // 2))
+    maps = align._quartet_maps
+
+    def counted_maps(*adjacencies):  # the backward map runs once an outer step
+        forward, backward = maps(*adjacencies)
+        return forward, _counted(calls, "gw", backward)
+
+    monkeypatch.setattr(align, "_quartet_maps", counted_maps)
+    gwd = _entropic_gwd(adj_s, adj_t, u, u, 0.05, max_iter, 1e-8, 30, 1e-7)
+    np.testing.assert_array_equal(gwd.iterations, np.full(6, calls["gw"]))
+    assert max_iter == 0 or min(calls["sinkhorn"], calls["gw"]) > 0
 
 
 def _varied_problems(rng, n, m, count):
@@ -246,7 +301,7 @@ def test_active_set_stack_equals_single_solves(n, m):
     assert len(set(wd.iterations)) > 1 and len(set(gwd.iterations)) > 1
     assert gwd.converged.any() and not gwd.converged.all()
     # C-ordered pseudo-costs: a transposed layout reorders the Sinkhorn sums and moves the bits
-    assert _QuartetCosts(adj_s, adj_t, dense=False).forward(wd.plans).flags.c_contiguous
+    assert all(apply(wd.plans).flags.c_contiguous for apply in _quartet_maps(adj_s, adj_t))
 
 
 def test_batch_alignment_results_do_not_depend_on_worker_count(monkeypatch):
@@ -332,6 +387,20 @@ def test_in_threads_first_error_stops_the_workers(monkeypatch):
     outcome = _in_threads_bounded(fn, list(range(400)))
     assert isinstance(outcome["error"], FloatingPointError) and str(outcome["error"]) == "task 5"
     assert len(started) < 400
+
+
+def test_in_threads_tasks_run_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(align, "_worker_count", lambda: 4)
+
+    def fn(task):
+        time.sleep(0.002)  # long enough for every thread to take tasks
+        return threading.get_ident(), np.geterr()
+
+    with np.errstate(over="ignore", invalid="raise", divide="ignore", under="warn"):
+        state = np.geterr()
+        results = align._in_threads(fn, list(range(40)))
+    assert len({ident for ident, _ in results}) > 1
+    assert all(seen == state for _, seen in results)
 
 
 def test_gwd_cost_zero_for_identical_identity_plan():

@@ -2,6 +2,7 @@ import argparse
 import base64
 import hashlib
 import json
+import warnings
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -507,13 +508,29 @@ def test_non_finite_score_exit_3(tmp_path, capsys):
         blob["data"] = base64.b64encode(values.tobytes()).decode("ascii")
 
     broken = _edit_checkpoint(ckpt, tmp_path / "broken.ckpt.json", overflow_shift)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["eval", "--data", str(data), "--checkpoint", str(broken),
-                     "--out-prefix", str(tmp_path / "e")])
+    code = main(["eval", "--data", str(data), "--checkpoint", str(broken), "--out-prefix", str(tmp_path / "e")])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "e.scores.csv").exists()
     assert not (tmp_path / "e.summary.json").exists()
+
+
+def test_huge_test_value_exit_3_with_one_line_and_no_numpy_warning(tmp_path, capsys):
+    data = _synth(tmp_path)
+    ckpt = _train(tmp_path, data)
+    lines = data.read_text().splitlines()
+    row = lines[351].split(",")  # series step 350, in the test split
+    row[1] = "1e300"
+    lines[351] = ",".join(row)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--data", str(huge), "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "e")])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("tsgad: numeric failure: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_1():
