@@ -14,6 +14,7 @@ the published values).
 import hashlib
 import json
 import platform
+import tempfile
 import time
 from pathlib import Path
 
@@ -301,35 +302,48 @@ def test_criterion_8_threshold_and_auc_units():
     )
 
 
-def test_criterion_9_pipeline_determinism(tmp_path):
+# the files criterion 9's CLI run writes, by golden.json key (the manifests hold timings)
+CLI_FILES = {"series": "{}.csv", "checkpoint": "{}.ckpt.json", "loss_curve": "{}.ckpt.json.loss.csv",
+             "scores": "{}.scores.csv", "summary": "{}.summary.json"}
+
+
+def _cli_run(directory, tag):
+    """The seed-7 DESK pipeline through ``main`` (synth, train, eval); the sha256 of each file in CLI_FILES."""
     from tsgad.cli import main
 
     seed = DESK["seeds"][0]
     cfg = DESK["config"]
-    outputs = []
-    for tag in ("a", "b"):
-        data = tmp_path / f"{tag}.csv"
-        ckpt = tmp_path / f"{tag}.ckpt.json"
-        assert main([
-            "synth", "--channels", str(DESK["channels"]), "--length", str(DESK["length"]),
-            "--shift", "{}:{}".format(*DESK["shift"]), "--spike", "{}:{}".format(*DESK["spike"]),
-            "--noise", str(DESK["noise"]), "--seed", str(seed), "--out", str(data),
-        ]) == 0
-        assert main([
-            "train", "--data", str(data), "--out", str(ckpt), "--seed", str(seed),
-            "--window", str(cfg["window"]), "--stride", str(cfg["stride"]),
-            "--batch", str(cfg["batch_size"]), "--epochs", str(cfg["epochs"]),
-            "--lr", str(cfg["learning_rate"]), "--encoder-out-scale", str(cfg["encoder_out_scale"]),
-        ]) == 0
-        assert main([
-            "eval", "--data", str(data), "--checkpoint", str(ckpt),
-            "--out-prefix", str(tmp_path / tag),
-        ]) == 0
-        outputs.append((tmp_path / f"{tag}.scores.csv").read_bytes())
+    data = directory / f"{tag}.csv"
+    ckpt = directory / f"{tag}.ckpt.json"
+    assert main([
+        "synth", "--channels", str(DESK["channels"]), "--length", str(DESK["length"]),
+        "--shift", "{}:{}".format(*DESK["shift"]), "--spike", "{}:{}".format(*DESK["spike"]),
+        "--noise", str(DESK["noise"]), "--seed", str(seed), "--out", str(data),
+    ]) == 0
+    assert main([
+        "train", "--data", str(data), "--out", str(ckpt), "--seed", str(seed),
+        "--window", str(cfg["window"]), "--stride", str(cfg["stride"]),
+        "--batch", str(cfg["batch_size"]), "--epochs", str(cfg["epochs"]),
+        "--lr", str(cfg["learning_rate"]), "--encoder-out-scale", str(cfg["encoder_out_scale"]),
+    ]) == 0
+    assert main([
+        "eval", "--data", str(data), "--checkpoint", str(ckpt),
+        "--out-prefix", str(directory / tag),
+    ]) == 0
+    return {key: _sha256((directory / name.format(tag)).read_bytes()) for key, name in CLI_FILES.items()}
+
+
+def test_criterion_9_pipeline_determinism(tmp_path):
+    """Two identical-seed CLI runs write the same files, and on the platform of
+    ``golden.json`` the same files as the recorded run."""
+    digests = [_cli_run(tmp_path, tag) for tag in ("a", "b")]
+    golden = json.loads(GOLDEN.read_text())
+    if golden["fingerprint"] == _fingerprint():
+        assert digests[0] == golden["cli/7"]
     _announce(
         9,
-        outputs[0] == outputs[1],
-        f"two identical-seed pipeline runs produced byte-identical score CSVs ({len(outputs[0])} bytes)",
+        digests[0] == digests[1],
+        f"two identical-seed pipeline runs wrote byte-identical {', '.join(CLI_FILES)} files",
     )
 
 
@@ -337,4 +351,6 @@ if __name__ == "__main__":
     runs = {(ablation, seed): _run_detection(seed, ablation)
             for ablation in ("full", "no_wd", "no_gwd", "no_ga") for seed in DESK["seeds"]}
     records = {name: _golden_record(*run) for name, run in _golden_runs(runs).items()}
-    GOLDEN.write_text(json.dumps({"fingerprint": _fingerprint(), "runs": records}, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        cli = _cli_run(Path(tmp), "a")
+    GOLDEN.write_text(json.dumps({"fingerprint": _fingerprint(), "runs": records, "cli/7": cli}, indent=1) + "\n")
