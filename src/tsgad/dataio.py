@@ -121,19 +121,24 @@ def write_series(ds, path):
             writer.writerow([repr(float(x)) for x in row] + [int(lab)])
 
 
+def _standardized(ds, rows, mean, std):
+    """The ``rows`` of ``ds`` as a new dataset standardized as ``(x - mean) / std``, recording the statistics."""
+    return SeriesDataset(
+        channel_names=list(ds.channel_names),
+        values=(ds.values[rows] - mean) / std,
+        labels=ds.labels[rows].copy(),
+        norm_mean=mean,
+        norm_std=std,
+    )
+
+
 def normalize_with(ds, mean, std):
     """Return a copy of ``ds`` standardized by externally fitted statistics."""
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     if mean.shape != (ds.n_channels,) or std.shape != (ds.n_channels,):
         raise DataFormatError("normalization statistics do not match the channel count")
-    return SeriesDataset(
-        channel_names=list(ds.channel_names),
-        values=(ds.values - mean) / std,
-        labels=ds.labels.copy(),
-        norm_mean=mean,
-        norm_std=std,
-    )
+    return _standardized(ds, slice(None), mean, std)
 
 
 def fit_normalization(values):
@@ -151,28 +156,14 @@ def fit_normalization(values):
 
 
 def split_normalize(ds, split_fraction=0.6):
-    """Chronological train/test split with train-fitted normalization."""
+    """Chronological train/test split; both splits are standardized by the training split's statistics."""
     if not 0.0 < split_fraction <= 1.0:
         raise ConfigError(f"split_fraction must be in (0, 1], got {split_fraction}")
     cut = int(ds.length * split_fraction)
     if cut < 2:
         raise ConfigError("training split would be shorter than 2 rows")
     mean, std = fit_normalization(ds.values[:cut])
-    train = SeriesDataset(
-        channel_names=list(ds.channel_names),
-        values=(ds.values[:cut] - mean) / std,
-        labels=ds.labels[:cut].copy(),
-        norm_mean=mean,
-        norm_std=std,
-    )
-    test = SeriesDataset(
-        channel_names=list(ds.channel_names),
-        values=(ds.values[cut:] - mean) / std,
-        labels=ds.labels[cut:].copy(),
-        norm_mean=mean,
-        norm_std=std,
-    )
-    return train, test
+    return _standardized(ds, slice(cut), mean, std), _standardized(ds, slice(cut, None), mean, std)
 
 
 def num_windows(length, window, stride):

@@ -4,6 +4,7 @@ import pytest
 from tsgad.dataio import (
     AnomalyInterval,
     SeriesDataset,
+    normalize_with,
     num_windows,
     read_series,
     split_normalize,
@@ -171,3 +172,36 @@ def test_non_binary_labels_rejected(bad):
     labels[3] = bad
     with pytest.raises(DataFormatError, match="labels must be binary"):
         SeriesDataset(["a", "b"], np.ones((10, 2)), labels)
+
+
+def _two_channels(length=10):
+    return SeriesDataset(["a", "b"], np.arange(2.0 * length).reshape(length, 2), np.zeros(length))
+
+
+# cases the CLI cannot reach; the ones it can are in test_cli.py
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda t: SeriesDataset(["a"], np.ones(3), np.zeros(3)), DataFormatError, "2-D",
+                 id="values-not-2d"),
+    pytest.param(lambda t: SeriesDataset(["a"], np.ones((3, 2)), np.zeros(3)), DataFormatError,
+                 "channel_names length", id="names-vs-columns"),
+    pytest.param(lambda t: SeriesDataset(["a", "b"], np.ones((3, 2)), np.zeros(2)), DataFormatError,
+                 "one entry per time step", id="labels-length"),
+    pytest.param(lambda t: normalize_with(_two_channels(), np.zeros(3), np.ones(2)), DataFormatError,
+                 "do not match the channel count", id="statistics-shape"),
+    pytest.param(lambda t: split_normalize(_two_channels(), 0.0), ConfigError, r"split_fraction must be in \(0, 1\]",
+                 id="split-fraction"),
+])
+def test_malformed_input_raises(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+
+
+def test_one_standardizing_path():
+    """split_normalize's splits hold the bits normalize_with gives the whole series under their statistics."""
+    ds = synth_generate(7, 333, [("spike", 250, 260)], seed=5)
+    train, test = split_normalize(ds, 0.6)
+    whole = normalize_with(ds, train.norm_mean, train.norm_std)
+    assert np.concatenate([train.values, test.values]).tobytes() == whole.values.tobytes()
+    np.testing.assert_array_equal(np.concatenate([train.labels, test.labels]), ds.labels)
+    assert train.norm_std is test.norm_std
+
