@@ -592,8 +592,6 @@ def _in_threads(fn, tasks):
     shared iterator under the caller's numpy error state; the first error raised reaches the
     caller, and no task starts after it."""
     workers = min(_worker_count(), len(tasks))
-    if workers == 1:
-        return [fn(t) for t in tasks]
     results, errors, pending, lock = [None] * len(tasks), [], enumerate(tasks), threading.Lock()
     state = np.geterr()  # a new thread starts from numpy's default error state
 

@@ -2,7 +2,8 @@
 
 Datasets are time-major matrices (rows = time steps, columns = channels)
 with a binary per-step label vector. Normalization statistics are always
-fitted on the training split only and applied to both splits.
+fitted on the training split only (refused if they overflow float64) and
+applied to both splits by the one constructor ``normalize_with`` shares.
 
 The synthetic generator drives all channels from a small set of shared
 latent sinusoids through a fixed mixing assignment, so the cross-channel
@@ -141,10 +142,17 @@ def normalize_with(ds, mean, std):
     return _standardized(ds, slice(None), mean, std)
 
 
-def fit_normalization(values):
-    """Per-channel mean and std; constant channels get std clamped to 1."""
-    mean = values.mean(axis=0)
-    std = values.std(axis=0)
+def fit_normalization(ds, rows):
+    """Per-channel mean and std of the ``rows`` of ``ds``; constant channels get std clamped to 1.
+    A statistic that overflows float64 raises DataFormatError naming its column."""
+    values = ds.values[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = values.mean(axis=0), values.std(axis=0)
+    overflowed = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflowed.size:
+        col = overflowed[0]
+        raise DataFormatError(f"column {ds.channel_names[col]!r}: values too large to standardize in float64 "
+                              f"(largest magnitude {np.abs(values[:, col]).max():.2g})")
     flat = std < 1e-12
     if flat.any():
         warnings.warn(
@@ -162,7 +170,7 @@ def split_normalize(ds, split_fraction=0.6):
     cut = int(ds.length * split_fraction)
     if cut < 2:
         raise ConfigError("training split would be shorter than 2 rows")
-    mean, std = fit_normalization(ds.values[:cut])
+    mean, std = fit_normalization(ds, slice(cut))
     return _standardized(ds, slice(cut), mean, std), _standardized(ds, slice(cut, None), mean, std)
 
 

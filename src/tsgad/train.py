@@ -526,5 +526,7 @@ def model_from_checkpoint(checkpoint):
         arr = _decode_array(stored[name], f"parameters.{name}")
         if arr.shape != tensor.data.shape:
             raise CheckpointError(f"parameter {name} has shape {arr.shape}, expected {tensor.data.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint field parameters.{name} must hold finite numbers")
         tensor.data = arr
     return model

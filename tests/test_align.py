@@ -106,6 +106,26 @@ def test_solvers_reject_bad_beta_and_non_finite_marginals(solve, weights, beta, 
         solve(*args, first, u, beta)
 
 
+_U2, _U3 = uniform_weights(2), uniform_weights(3)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: sinkhorn_wd(np.ones((2, 3)), _U2, _U2, 0.1), "marginal shapes", id="marginal-shape"),
+    pytest.param(lambda: entropic_gwd(np.ones((2, 3)), np.eye(3), _U2, _U3, 0.1), "source adjacency must be square",
+                 id="adjacency-not-square"),
+    pytest.param(lambda: sinkhorn_wd(np.ones(3), _U3, _U3, 0.1), "2-D", id="cost-not-2d"),
+    pytest.param(lambda: gwd_cost(np.eye(2), np.eye(3), np.full((3, 2), 1 / 6)), "plan shape", id="plan-shape"),
+    pytest.param(lambda: batch_alignment(np.ones((2, 3)), np.ones((2, 3, 3))), r"\(B, N, d\)", id="batch-not-3d"),
+    pytest.param(lambda: batch_alignment(np.ones((2, 3, 2)), np.ones((3, 3, 3))), "batch size",
+                 id="batch-size-mismatch"),
+    pytest.param(lambda: batch_alignment(np.ones((2, 3, 2)), np.ones((2, 3, 3)), terms=("wd", "kl")),
+                 "unknown alignment terms", id="unknown-term"),
+])
+def test_malformed_problem_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_sinkhorn_marginal_violation_monotone():
     # one Sinkhorn step at a time, each warm started from the duals the last one
     # returned, runs the same iterations as one solve; the violation before
@@ -676,8 +696,9 @@ def test_batch_alignment_term_selection():
 
 
 def test_batch_alignment_stack_of_one_route_matches_single_solves():
-    # B * N^4 = 2 * 32^4 > 2e6, so each window is solved as a stack of one;
-    # N = 32 also takes the factorized GW pseudo-cost (N^4 > 250k)
+    # B * N^4 = 2 * 32^4 > 2e6, so the batch takes the active-set route; N = 32 takes the
+    # factorized GW pseudo-cost (N^4 > 250k), whose tables fit 7 windows to a stack, so
+    # both windows form one stack, each stopping by its own rule
     rng = np.random.default_rng(12)
     emb = rng.random((2, 32, 3))
     raw = rng.random((2, 32, 32))

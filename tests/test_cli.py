@@ -533,6 +533,26 @@ def test_huge_test_value_exit_3_with_one_line_and_no_numpy_warning(tmp_path, cap
     assert err.startswith("tsgad: numeric failure: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("column, largest", [
+    pytest.param(1e160 * (1.0 + 0.1 * np.sin(np.arange(300))), "1.1e+160", id="squares-overflow"),
+    pytest.param(np.tile([9e307, 1e308], 150), "1e+308", id="sum-overflows"),
+])
+def test_train_statistics_overflow_exit_2_with_one_line_and_no_numpy_warning(tmp_path, capsys, column, largest):
+    lines = ["a,b"] + [f"{x!r},{float(np.sin(i / 7.0))!r}" for i, x in enumerate(column.tolist())]
+    data = _write(tmp_path / "huge.csv", "\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--seed", "0",
+                     "--window", "10", "--stride", "5", "--batch", "4", "--epochs", "1",
+                     "--hidden", "4", "--d-step", "2"])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == (f"tsgad: data error: column 'a': values too large to standardize in float64 "
+                   f"(largest magnitude {largest})\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_usage_error_exit_1():
     assert main(["train"]) == 1  # missing required flags
 
@@ -598,6 +618,13 @@ def _blob(values, shape):
             "data": base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")}
 
 
+def _with_entry(blob, value):
+    """``blob`` with its fourth entry set to ``value``."""
+    values = np.frombuffer(base64.b64decode(blob["data"]), dtype="<f8").copy()
+    values[3] = value
+    return _blob(values, blob["shape"])
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A synthetic CSV and a checkpoint trained on it, shared by the corruption cases."""
@@ -611,7 +638,7 @@ def _eval_exit_2_without_traceback(tmp_path, capsys, data, checkpoint, mention):
                  "--out-prefix", str(tmp_path / "e")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err
+    assert err.startswith("tsgad: data error: ") and err.count("\n") == 1
     assert mention in err
     assert not (tmp_path / "e.scores.csv").exists()
 
@@ -654,6 +681,17 @@ def _eval_exit_2_without_traceback(tmp_path, capsys, data, checkpoint, mention):
                  id="boolean-version"),
     *(pytest.param("split_fraction must be in (0, 1]", lambda c, v=v: c["config"].update(split_fraction=v),
                    id=f"split-fraction-{v}") for v in (-0.5, 0.0, 5.0)),
+    pytest.param("missing sections ['quartiles']", lambda c: c.pop("quartiles"), id="missing-section"),
+    pytest.param("config is not a JSON object", lambda c: c.update(config=[]), id="config-not-object"),
+    pytest.param("parameters is not a JSON object", lambda c: c.update(parameters=[]), id="section-not-object"),
+    pytest.param("parameter encoder.w_mix has shape (36,), expected (6, 6)",
+                 lambda c: c["parameters"].update({"encoder.w_mix": _blob(np.zeros(36), [36])}),
+                 id="parameter-shape-decodes"),
+    # a parameter that is not finite is the checkpoint's fault, not a numeric failure of scoring
+    *(pytest.param("parameters.attention.w_key must hold finite numbers",
+                   lambda c, v=v: c["parameters"].update(
+                       {"attention.w_key": _with_entry(c["parameters"]["attention.w_key"], v)}),
+                   id=f"parameter-{v}") for v in (np.nan, np.inf)),
 ])
 def test_malformed_checkpoint_field_exit_2(tmp_path, capsys, trained, mention, edit):
     data, ckpt = trained
@@ -664,6 +702,38 @@ def test_malformed_checkpoint_field_exit_2(tmp_path, capsys, trained, mention, e
 def test_data_path_is_a_directory_exit_2(tmp_path, capsys, trained):
     _, ckpt = trained
     _eval_exit_2_without_traceback(tmp_path, capsys, tmp_path, ckpt, "is a directory")
+
+
+# each case: the exit code, (data, checkpoint, tmp dir) -> argv, and what the one stderr line says
+@pytest.mark.parametrize("code, case, mention", [
+    pytest.param(1, lambda d, c, t: _train_argv(d, t / "m.json", "--batch", "0"), "batch_size must be positive",
+                 id="batch-0"),
+    pytest.param(1, lambda d, c, t: _train_argv(d, t / "m.json", "--lr", "0"), "learning_rate must be > 0",
+                 id="lr-0"),
+    pytest.param(1, lambda d, c, t: _train_argv(d, t / "m.json", "--beta", "-1"), "beta must be > 0",
+                 id="beta-negative"),
+    pytest.param(1, lambda d, c, t: _train_argv(d, t / "m.json", "--lam", "-0.5"), "lam must be >= 0",
+                 id="lam-negative"),
+    pytest.param(1, lambda d, c, t: _train_argv(d, t / "m.json", "--batch", "64"),
+                 "training split yields 45 windows, need at least one full batch of 64",
+                 id="split-shorter-than-a-batch"),
+    pytest.param(1, lambda d, c, t: ["synth", "--channels", "1", "--seed", "1", "--out", str(t / "s.csv")],
+                 "need at least 2 channels", id="synth-one-channel"),
+    pytest.param(2, lambda d, c, t: _train_argv(_write(t / "e.csv", ""), t / "m.json"), "empty file",
+                 id="empty-csv"),
+    pytest.param(2, lambda d, c, t: _train_argv(_write(t / "h.csv", "a,b,label\n"), t / "m.json"), "no data rows",
+                 id="header-only-csv"),
+    pytest.param(2, lambda d, c, t: _train_argv(_write(t / "o.csv", "a,label\n1,0\n"), t / "m.json"),
+                 "need at least 2 channel columns", id="one-channel-column"),
+    pytest.param(2, lambda d, c, t: _train_argv(_write(t / "r.csv", "a,b\n1,2\n3\n"), t / "m.json"),
+                 "row 3 has 1 cells, expected 2", id="ragged-row"),
+    pytest.param(2, lambda d, c, t: _score_argv("eval", d, _mkdir(t / "ckpt"), t / "e"),
+                 "is a directory, not a checkpoint file", id="checkpoint-directory"),
+])
+def test_refused_input_exits_with_one_line(tmp_path, capsys, trained, code, case, mention):
+    assert main(case(*trained, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("tsgad: ") and err.count("\n") == 1 and mention in err
 
 
 def _not_utf8(path, text):

@@ -204,4 +204,3 @@ def test_one_standardizing_path():
     assert np.concatenate([train.values, test.values]).tobytes() == whole.values.tobytes()
     np.testing.assert_array_equal(np.concatenate([train.labels, test.labels]), ds.labels)
     assert train.norm_std is test.norm_std
-

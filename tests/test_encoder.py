@@ -272,6 +272,11 @@ def test_adjacency_shape_must_match_the_batch():
         encode_batch(windows, Tensor(np.full((1, 3, 3), 1.0 / 3.0)), params)
 
 
+def test_windows_must_be_3d():
+    with pytest.raises(ValueError, match=r"windows must be \(B, T, N\)"):
+        encode_batch(np.zeros((6, 3)), Tensor(np.full((1, 3, 3), 1.0 / 3.0)), _encoder())
+
+
 def test_taped_forward_holds_a_few_arrays_per_step():
     """The tape keeps h and c per step, two (B*N, h) arrays, and no gate."""
     n_batch, n_steps, n_chan, hidden = 16, 40, 5, 32

@@ -227,6 +227,8 @@ def test_shape_contracts():
         log_prob(np.zeros(4), np.zeros(3), model)
     with pytest.raises(ValueError, match="one condition row"):
         log_prob(np.zeros((2, 4)), np.zeros((3, 2)), model)
+    with pytest.raises(ValueError, match="at least one layer"):
+        init_flow(4, 2, n_layers=0)
 
 
 def test_flow_tape_is_freed_before_the_encoder_backward():

@@ -1,10 +1,11 @@
 """Property tests: CSV round trip, the window table, scoring on arbitrary series, and
-the CLI on corrupted checkpoints and CSVs."""
+the CLI on corrupted checkpoints and CSVs and on channels of any magnitude."""
 
 import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,3 +194,30 @@ def test_cli_corrupted_csv_cell_exits_cleanly(cli_inputs, data):
     else:
         assert code == 2, (row, column, cell, code)
     assert "Traceback" not in err
+
+
+@settings(PROPERTY, max_examples=8)
+@given(exponent=st.integers(-300, 308))
+def test_cli_train_on_a_channel_of_any_magnitude_exits_cleanly(exponent):
+    """A channel at 10^exponent trains to a checkpoint that eval scores, or train ends in one
+    line with a documented exit code; either way numpy warns nothing."""
+    steps = np.arange(300)
+    column = 10.0 ** exponent * (1.0 + 0.5 * np.sin(steps / 5.0))
+    labels = ((steps >= 250) & (steps < 270)).astype(int)
+    lines = ["a,b,label"] + [f"{x!r},{float(np.sin(i / 7.0))!r},{label}"
+                             for i, (x, label) in enumerate(zip(column.tolist(), labels))]
+    with tempfile.TemporaryDirectory() as tmp:
+        data, ckpt = Path(tmp) / "data.csv", Path(tmp) / "model.ckpt.json"
+        data.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["train", "--data", str(data), "--out", str(ckpt), "--seed", "0", "--window", "10",
+                         "--stride", "5", "--batch", "4", "--epochs", "1", "--hidden", "4", "--d-step", "2"])
+        if code == 0:
+            assert _eval_exit_code(data, ckpt, tmp) == (0, "")
+    # tsgad's own note on a near-constant channel is the one warning allowed
+    assert all(str(w.message).startswith("std clamped to 1") for w in caught), [str(w.message) for w in caught]
+    if code != 0:
+        assert code in (1, 2, 3) and err.getvalue().startswith("tsgad: ") and err.getvalue().count("\n") == 1
