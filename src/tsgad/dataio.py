@@ -3,7 +3,7 @@
 Datasets are time-major matrices (rows = time steps, columns = channels)
 with a binary per-step label vector. Normalization statistics are always
 fitted on the training split only (refused if they overflow float64) and
-applied to both splits by the one constructor ``normalize_with`` shares.
+applied to both splits by the same constructor as ``normalize_with``.
 
 The synthetic generator drives all channels from a small set of shared
 latent sinusoids through a fixed mixing assignment, so the cross-channel

@@ -174,26 +174,26 @@ def test_non_binary_labels_rejected(bad):
         SeriesDataset(["a", "b"], np.ones((10, 2)), labels)
 
 
-def _two_channels(length=10):
-    return SeriesDataset(["a", "b"], np.arange(2.0 * length).reshape(length, 2), np.zeros(length))
+def _two_channels():
+    return SeriesDataset(["a", "b"], np.arange(20.0).reshape(10, 2), np.zeros(10))
 
 
 # cases the CLI cannot reach; the ones it can are in test_cli.py
 @pytest.mark.parametrize("call, error, match", [
-    pytest.param(lambda t: SeriesDataset(["a"], np.ones(3), np.zeros(3)), DataFormatError, "2-D",
+    pytest.param(lambda: SeriesDataset(["a"], np.ones(3), np.zeros(3)), DataFormatError, "2-D",
                  id="values-not-2d"),
-    pytest.param(lambda t: SeriesDataset(["a"], np.ones((3, 2)), np.zeros(3)), DataFormatError,
+    pytest.param(lambda: SeriesDataset(["a"], np.ones((3, 2)), np.zeros(3)), DataFormatError,
                  "channel_names length", id="names-vs-columns"),
-    pytest.param(lambda t: SeriesDataset(["a", "b"], np.ones((3, 2)), np.zeros(2)), DataFormatError,
+    pytest.param(lambda: SeriesDataset(["a", "b"], np.ones((3, 2)), np.zeros(2)), DataFormatError,
                  "one entry per time step", id="labels-length"),
-    pytest.param(lambda t: normalize_with(_two_channels(), np.zeros(3), np.ones(2)), DataFormatError,
+    pytest.param(lambda: normalize_with(_two_channels(), np.zeros(3), np.ones(2)), DataFormatError,
                  "do not match the channel count", id="statistics-shape"),
-    pytest.param(lambda t: split_normalize(_two_channels(), 0.0), ConfigError, r"split_fraction must be in \(0, 1\]",
+    pytest.param(lambda: split_normalize(_two_channels(), 0.0), ConfigError, r"split_fraction must be in \(0, 1\]",
                  id="split-fraction"),
 ])
-def test_malformed_input_raises(tmp_path, call, error, match):
+def test_malformed_input_raises(call, error, match):
     with pytest.raises(error, match=match):
-        call(tmp_path)
+        call()
 
 
 def test_one_standardizing_path():
