@@ -201,6 +201,7 @@ def _sinkhorn(costs, u, v, beta, max_iter, tol, init_potentials=None, active_set
 
 
 _DENSE_QUARTET_LIMIT = 250_000  # entries of one stack's pseudo-cost tables
+_PREFIX_CHUNK = 32_768  # entries of one chunk's prefix table: small enough to stay in cache
 _OBJ_TOL = 1e-9  # relative objective gain below which a GW outer step counts as stalled
 
 
@@ -234,14 +235,14 @@ def _factorized_tables(a_s, a_t):
     finds each source entry ``a_s[k, i, i']``'s ``searchsorted(...,
     side="right")`` position in row j within the (K, n, j_chunk, m + 1)
     prefix tables of j's chunk. Target rows are taken in chunks so that each
-    prefix table holds at most ``_DENSE_QUARTET_LIMIT`` entries.
+    prefix table holds at most ``_PREFIX_CHUNK`` entries (or one target row).
     """
     k, n, m = a_s.shape[0], a_s.shape[1], a_t.shape[1]
     order = np.argsort(a_t, axis=2, kind="stable")
     sorted_vals = np.take_along_axis(a_t, order, axis=2)
     pos = np.stack([_search_positions(s, vals) for s, vals in zip(a_s, sorted_vals)])
     problems = np.arange(k)[:, None, None, None]
-    width = max(1, _DENSE_QUARTET_LIMIT // (k * n * (m + 1)))
+    width = max(1, _PREFIX_CHUNK // (k * n * (m + 1)))
     chunks = []
     for lo in range(0, m, width):
         rows = slice(lo, min(lo + width, m))
@@ -728,7 +729,8 @@ def batch_alignment(
 
     def gwd_grad(grad):
         refs = _leave_one_out(adj_sum_np, adj_np, batch)
-        pairs = [_sign_quartet_grads(a, r, p.plan) for a, r, p in zip(adj_np, refs, gwd_plans)]
+        tasks = list(zip(adj_np, refs, (p.plan for p in gwd_plans)))
+        pairs = _in_threads(lambda task: _sign_quartet_grads(*task), tasks)  # in window order
         return chain(*(np.stack(g) for g in zip(*pairs)), grad)
 
     rules = [rule for term, rule in (("wd", (emb, wd_grad)), ("gwd", (adj, gwd_grad))) if term in terms]

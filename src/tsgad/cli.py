@@ -24,8 +24,9 @@ from . import __version__
 from .dataio import (
     AnomalyInterval,
     SeriesDataset,
+    fit_normalization,
+    normalize_with,
     read_series,
-    split_normalize,
     synth_generate,
     write_series,
 )
@@ -213,9 +214,11 @@ def cmd_synth(args, out):
 def cmd_train(args, checkpoint_path, curve_path):
     t0 = time.time()
     config = _resolve_config(args)
-    train_ds, _ = (
-        split_normalize(read_series(args.data, label_column=args.label_column), config.split_fraction)
-    )
+    # only the training cut is standardized: a value in the unused test split must not stop training
+    part, _ = _split_rows(read_series(args.data, label_column=args.label_column), "train", config.split_fraction)
+    if part.length < 2:
+        raise ConfigError("training split would be shorter than 2 rows")
+    train_ds = normalize_with(part, *fit_normalization(part, slice(None)))
     t_load = time.time() - t0
     result = train(train_ds, config)
     t_train = time.time() - t0 - t_load

@@ -134,11 +134,18 @@ def _standardized(ds, rows, mean, std):
 
 
 def normalize_with(ds, mean, std):
-    """Return a copy of ``ds`` standardized by externally fitted statistics."""
+    """Return a copy of ``ds`` standardized by externally fitted statistics. A value whose
+    standardized form overflows float64 raises DataFormatError naming it."""
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     if mean.shape != (ds.n_channels,) or std.shape != (ds.n_channels,):
         raise DataFormatError("normalization statistics do not match the channel count")
+    with np.errstate(over="ignore"):
+        overflowed = np.argwhere(~np.isfinite((ds.values - mean) / std))
+    if overflowed.size:
+        row, col = overflowed[0]
+        raise DataFormatError(f"time step {row}, column {ds.channel_names[col]!r}: value "
+                              f"{ds.values[row, col]:.2g} is too large to standardize in float64")
     return _standardized(ds, slice(None), mean, std)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from tsgad import autodiff as ad
+from tsgad import encoder
 from tsgad.dataio import synth_generate, split_normalize
 from tsgad.flow import forward, gaussian_log_density, init_flow, inverse, log_prob
 from tsgad.oracles import equivalence_suite, gradient_suite, gwd_suite, sinkhorn_suite
@@ -281,13 +282,26 @@ def test_outputs_match_golden(detection_runs):
     runs = _golden_runs(detection_runs)
     assert sorted(runs) == sorted(golden["runs"])
     for name, run in runs.items():
-        got, want = _golden_record(*run), golden["runs"][name]
-        if same_platform:
-            assert got["sha256"] == want["sha256"], name
-        else:
-            np.testing.assert_allclose(got["scores"], want["scores"], rtol=1e-9, atol=0.0, err_msg=name)
+        _check_golden(name, _golden_record(*run), golden["runs"][name], same_platform)
     _announce("golden", True, f"{len(runs)} runs {'bit-identical' if same_platform else 'within 1e-9'} "
                               f"to {GOLDEN.name}")
+
+
+def _check_golden(name, got, want, same_platform):
+    if same_platform:
+        assert got["sha256"] == want["sha256"], name
+    else:
+        np.testing.assert_allclose(got["scores"], want["scores"], rtol=1e-9, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["factorized/7", "full/7"])
+def test_segmented_encoder_tape_matches_golden(monkeypatch, name):
+    """With every taped encoder forward forced into segments (window 8: k = 3, window 40: k = 7), the
+    backward rebuilds h and c from checkpoints, and the run reproduces its recorded bits."""
+    monkeypatch.setattr(encoder, "_TAPE_BYTES", 0)
+    golden = json.loads(GOLDEN.read_text())
+    run = _run_factorized() if name == "factorized/7" else _run_detection(7, "full")
+    _check_golden(name, _golden_record(*run), golden["runs"][name], golden["fingerprint"] == _fingerprint())
 
 
 def test_criterion_8_threshold_and_auc_units():

@@ -190,18 +190,30 @@ def test_gwd_factorized_equals_naive():
 
 
 def test_gwd_factorized_chunks_match_one_chunk(monkeypatch):
+    """Prefix tables cut into chunks of target rows give a stack the one-chunk pseudo-costs byte for byte:
+    each target row's prefix sums and its sum over i' do not depend on the chunking."""
     rng = np.random.default_rng(4)
-    n, m = 6, 11
-    a_s, a_t = rng.random((n, n)), rng.random((m, m))
-    plan = rng.random((n, m))
-    plan /= plan.sum()
-    whole = gwd_cost(a_s, a_t, plan)
-    # 3 target rows per chunk: four chunks, the last one ragged
-    monkeypatch.setattr(align, "_DENSE_QUARTET_LIMIT", 3 * n * (m + 1))
-    assert [c.stop - c.start for c, _, _ in align._factorized_tables(a_s[None], a_t[None])[2]] == [3, 3, 3, 2]
-    chunked = gwd_cost(a_s, a_t, plan)
-    assert chunked[0] == whole[0]
-    np.testing.assert_array_equal(chunked[1], whole[1])
+    k, n, m = 3, 6, 11
+    a_s, a_t = rng.random((k, n, n)), rng.random((k, m, m))
+    plans = rng.random((k, n, m))
+    plans /= plans.sum(axis=(1, 2), keepdims=True)
+
+    def pseudo_costs(cap):
+        monkeypatch.setattr(align, "_PREFIX_CHUNK", cap)
+        tables = align._factorized_tables(a_s, a_t)
+        return [c.stop - c.start for c, _, _ in tables[2]], align._factorized_pseudo_costs(tables, plans)
+
+    widths, whole = pseudo_costs(k * n * (m + 1) * m)
+    assert widths == [m]
+    for cap, want in ((3 * k * n * (m + 1), [3, 3, 3, 2]), (1, [1] * m)):  # the last chunk ragged; a row each
+        widths, chunked = pseudo_costs(cap)
+        assert widths == want
+        np.testing.assert_array_equal(chunked, whole)
+    for a, b, plan, got in zip(a_s, a_t, plans, whole):
+        np.testing.assert_allclose(got, gwd_cost_naive(a, b, plan)[1], rtol=1e-13, atol=0.0)
+    one = gwd_cost(a_s[0], a_t[0], plans[0])  # a chunk per row (the cap is still 1), then one chunk
+    monkeypatch.setattr(align, "_PREFIX_CHUNK", m * n * (m + 1))
+    assert gwd_cost(a_s[0], a_t[0], plans[0])[0] == one[0]
 
 
 def test_entropic_gwd_factorized_stack_equals_single_solves():

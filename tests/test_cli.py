@@ -553,6 +553,26 @@ def test_train_statistics_overflow_exit_2_with_one_line_and_no_numpy_warning(tmp
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_ignores_an_overflow_in_the_test_split_eval_exits_2_with_one_line(tmp_path, capsys):
+    """Training standardizes only its cut (rows 0-179 of 300), so 1.7e308 at step 250 cannot stop it;
+    ``eval`` standardizes the test split and refuses that value with one line naming it."""
+    lines = ["a,b,label"] + [f"{1.7e308 if i == 250 else float(np.sin(i / 5.0))!r},{float(np.cos(i / 7.0))!r},"
+                             f"{int(240 <= i < 260)}" for i in range(300)]
+    data = _write(tmp_path / "huge.csv", "\n".join(lines) + "\n")
+    ckpt = tmp_path / "m.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--out", str(ckpt), "--seed", "0", "--window", "10",
+                     "--stride", "5", "--batch", "4", "--epochs", "1", "--hidden", "4", "--d-step", "2"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        code = main(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "e")])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("tsgad: data error: time step 70, column 'a': value 1.7e+308 is too large "
+                                       "to standardize in float64\n")
+
+
 def test_usage_error_exit_1():
     assert main(["train"]) == 1  # missing required flags
 

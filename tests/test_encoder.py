@@ -335,3 +335,60 @@ def test_backward_holds_no_per_step_gradient_slab():
         tracemalloc.stop()
     slab = n_steps * n_batch * n_chan * hidden * 8
     assert peak < 0.75 * slab, peak / slab
+
+
+@pytest.mark.parametrize("shape, block_windows, steps_per_block", [
+    pytest.param((3, 7, 4), 3, 23, id="k-3-ragged-last-segment"),  # states kept: 0, 3 and 6, 7
+    pytest.param((3, 2, 4), 3, 4, id="T-at-most-k"),  # k = 2 = T: one segment, nothing rebuilt
+    pytest.param((19, 10, 4), 8, 32, id="k-4-three-blocks"),  # 0, 4 and 8 .. 10; blocks of 6, 6, 7
+])
+def test_segmented_tape_bit_identical_to_tape_composition(monkeypatch, shape, block_windows, steps_per_block):
+    """A tape over its byte budget keeps every k-th state and its last segment; the backward
+    rebuilds the other segments with the forward's cell on the forward's blocks, so the
+    embeddings and every gradient keep their bits, and the no-grad forward matches."""
+    monkeypatch.setattr(encoder, "_TAPE_BYTES", 0)
+    monkeypatch.setattr(encoder, "_BLOCK_ROWS", block_windows * shape[2])
+    step_rows = []
+    step = encoder._Cell.step
+
+    def record_step(cell, x_col, h_prev):
+        step_rows.append(h_prev.shape[0])
+        return step(cell, x_col, h_prev)
+
+    monkeypatch.setattr(encoder._Cell, "step", record_step)
+    emb, grads = _gradients(encode_batch, 3, shape)
+    # the forward and the cell's pass step every block T times; the readout's pass rebuilds every
+    # segment but the last, and the cell's pass all but the last two (the readout's last is held)
+    assert sum(step_rows) == steps_per_block * shape[0] * shape[2]
+    ref_emb, ref_grads = _gradients(_reference_encode, 3, shape)
+    assert np.array_equal(emb, ref_emb)
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+    params, windows, logits = _inputs(3, shape)
+    with ad.no_grad():
+        plain = encode_batch(windows, ad.softmax_rows(logits), params)
+    assert np.array_equal(plain.data, emb)
+
+
+def test_segmented_tape_holds_checkpoints_and_the_last_segment(monkeypatch):
+    """Over its budget the taped forward keeps about T/k + k states of h and c, not T + 1, and
+    forward and backward together (a rebuilt segment, the ReLU masks, the cell's buffers)
+    peak below the whole tape alone."""
+    n_batch, n_steps, n_chan, hidden = 32, 81, 8, 32
+    monkeypatch.setattr(encoder, "_TAPE_BYTES", 0)  # k = 9: states 0, 9, .., 63 and 72 .. 81
+    params = init_encoder(hidden, 4, np.random.default_rng(35))
+    windows = np.random.default_rng(36).normal(size=(n_batch, n_steps, n_chan))
+    adjacency = Tensor(np.full((n_batch, n_chan, n_chan), 1.0 / n_chan), requires_grad=True)
+    grad = np.random.default_rng(37).normal(size=(n_batch, n_chan, n_steps * 4))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emb = encode_batch(windows, adjacency, params)
+        held = tracemalloc.get_traced_memory()[0] - before - emb.data.nbytes
+        emb._backward(grad)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    array_bytes = n_batch * n_chan * hidden * 8
+    assert held <= 2 * (8 + 10 + 3) * array_bytes, held / array_bytes
+    assert peak < 2 * (n_steps + 1) * array_bytes, peak / array_bytes
